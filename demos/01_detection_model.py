@@ -8,18 +8,8 @@ enters the picture.
 
 import numpy as np
 
-from bugsize import (
-    bug_log_likelihood,
-    cell_probabilities,
-    detection_prob,
-    phase_detection_prob,
-)
+from bugsize import cell_probabilities, detection_prob
 
-print("=== per-cell detection probability, 1 - exp(-test_cases) ===")
-for t in (0, 1, 5, 20, 50):
-    print(f"  {t:3d} test cases -> {phase_detection_prob(t):.6f}")
-
-print()
 print("=== normalized cell probabilities for a 2x3 campaign ===")
 test_cases = np.array([[40, 10, 0], [25, 5, 15]])
 cells = cell_probabilities(test_cases)
@@ -36,13 +26,11 @@ for nu in (1.0, 1.25, 1.5):
 print("  larger bugs are found almost surely; size-1 bugs usually survive")
 
 print()
-print("=== one candidate's outcome distribution is a proper categorical ===")
+print("=== one candidate's outcomes: missed, or found in exactly one cell ===")
 size = 30
-total = np.exp(bug_log_likelihood(None, True, size, cells, 1.5, t_max))
-print(f"  P(never detected | size={size}) = {total:.4f}")
-for j in range(2):
-    for k in range(3):
-        if cells[j, k] > 0:
-            p = np.exp(bug_log_likelihood((j, k), True, size, cells, 1.5, t_max))
-            total += p
-print(f"  summed over all outcomes: {total:.12f}")
+alpha = detection_prob(size, 1.5, t_max)
+print(f"  P(never detected | size={size}) = 1 - alpha = {1 - alpha:.4f}")
+print(f"  P(found in cell j,k | size={size}) = alpha * cells[j, k]")
+print(f"  (1 - alpha) + alpha * sum(cells) = {(1 - alpha) + alpha * cells.sum():.12f}")
+print("  the cell factor does not depend on size, so only alpha (through")
+print("  t_max) and the detected count reach the posterior")

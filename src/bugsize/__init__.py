@@ -9,7 +9,6 @@ release reliability Pr(remaining size < threshold).
 """
 
 from .dataio import (
-    build_assignment,
     build_report,
     read_campaign,
     read_draws,
@@ -26,15 +25,12 @@ from .diagnostics import (
 )
 from .model import (
     AugmentedState,
-    BugAssignment,
     ModelConfig,
     TestCampaign,
-    bug_log_likelihood,
     cell_probabilities,
+    detection_loglik,
     detection_prob,
-    gamma_log_pdf,
     nb_log_pmf,
-    phase_detection_prob,
 )
 from .reliability import (
     chain_reliability,
@@ -59,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedState",
-    "BugAssignment",
     "ChainDraws",
     "ChainSet",
     "GroundTruth",
@@ -68,18 +63,15 @@ __all__ = [
     "SamplerConfig",
     "StudyResult",
     "TestCampaign",
-    "bug_log_likelihood",
-    "build_assignment",
     "build_report",
     "cell_probabilities",
     "chain_reliability",
+    "detection_loglik",
     "detection_prob",
     "draw_inclusion_prob",
     "effective_sample_size",
-    "gamma_log_pdf",
     "generate_campaign",
     "nb_log_pmf",
-    "phase_detection_prob",
     "read_campaign",
     "read_draws",
     "reliability_at",

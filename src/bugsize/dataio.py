@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import BugAssignment, TestCampaign
+from .model import TestCampaign
 from .sampler import ChainDraws, ChainSet
 
 __all__ = [
     "read_campaign",
     "write_campaign",
-    "build_assignment",
     "write_draws",
     "read_draws",
     "build_report",
@@ -31,7 +30,7 @@ __all__ = [
 
 CAMPAIGN_FIELDS = ["mission", "phase", "test_cases", "bugs_detected"]
 DRAWS_STAMP = "# bugsize-draws-v1"
-REPORT_FORMAT = "bugsize-report-v1"
+REPORT_FORMAT = "bugsize-report-v2"
 TRUTH_FORMAT = "bugsize-truth-v1"
 
 
@@ -108,36 +107,12 @@ def write_campaign(campaign: TestCampaign, path, mission_labels=None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def build_assignment(campaign: TestCampaign, max_bugs: int) -> BugAssignment:
-    """Expand cell counts into a per-candidate detection layout.
-
-    The n detected bugs occupy candidate slots 0..n-1 in (mission, phase)
-    lexicographic order; the remaining slots are undetected.  Bugs are
-    exchangeable under the model, so the deterministic identity keeps runs
-    reproducible without biasing anything.
-    """
-    n = campaign.detected_total
-    if max_bugs < n:
-        raise ValueError(f"candidate ceiling {max_bugs} below detected count {n}")
-    cell = np.full(max_bugs, -1, dtype=np.int64)
-    flat_counts = campaign.bugs_detected.ravel()
-    cell[:n] = np.repeat(np.arange(flat_counts.size), flat_counts)
-    return BugAssignment(cell=cell, missions=campaign.missions, phases=campaign.phases)
-
-
-def _candidate_path(path) -> Path:
-    p = Path(path)
-    return p.with_name(p.stem + "_candidates" + (p.suffix or ".csv"))
-
-
-def write_draws(chainset: ChainSet, path, include_candidates: bool = False) -> None:
+def write_draws(chainset: ChainSet, path) -> None:
     """Write kept draws as stamped CSV.
 
     Rows are ``chain,iteration,parameter,value`` ordered by chain, then
     parameter, then iteration.  Chain seeds and acceptance rates ride along
-    as comment lines.  Full per-candidate trajectories, when present and
-    requested, go to a ``*_candidates`` companion file (they are large, so
-    opt-in only).
+    as comment lines.
     """
     lines = [DRAWS_STAMP]
     lines.append(
@@ -154,33 +129,13 @@ def write_draws(chainset: ChainSet, path, include_candidates: bool = False) -> N
                 lines.append(f"{chain.chain},{it},{name},{repr(float(value))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    if include_candidates:
-        candidate_lines = ["chain,iteration,candidate,include,size,mean_size"]
-        for chain in chainset.chains:
-            if chain.candidate_draws is None:
-                raise ValueError(
-                    f"chain {chain.chain} holds no per-candidate draws; "
-                    "rerun with keep_candidate_draws enabled"
-                )
-            inc = chain.candidate_draws["include"]
-            size = chain.candidate_draws["size"]
-            mean = chain.candidate_draws["mean_size"]
-            for row, it in enumerate(chain.iterations):
-                for i in range(inc.shape[1]):
-                    candidate_lines.append(
-                        f"{chain.chain},{it},{i},{int(inc[row, i])},"
-                        f"{int(size[row, i])},{repr(float(mean[row, i]))}"
-                    )
-        _candidate_path(path).write_text(
-            "\n".join(candidate_lines) + "\n", encoding="utf-8", newline="\n"
-        )
-
 
 def read_draws(path) -> ChainSet:
     """Read a stamped draws CSV back into a chain set.
 
     Rejects files whose version stamp does not match what this reader
-    understands.  Per-candidate companion files are not loaded.
+    understands, and files whose chains do not all hold the same number of
+    draws of the same parameters.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -245,6 +200,15 @@ def read_draws(path) -> ChainSet:
                 acceptance=info["acceptance"],
             )
         )
+    names = dict.fromkeys(name for chain in chains for name in chain.draws)
+    for chain in chains:
+        for name in names:
+            if name not in chain.draws:
+                raise ValueError(f"{path}: chain {chain.chain} has no draws of {name!r}")
+            have, want = chain.draws[name].size, chains[0].draws[name].size
+            if have != want:
+                raise ValueError(f"{path}: chain {chain.chain} has {have} draws of {name!r}, "
+                                 f"chain {chains[0].chain} has {want}")
     return ChainSet(
         chains=chains,
         base_seed=meta.get("base_seed", 0),
@@ -291,7 +255,6 @@ def build_report(
                 "mean_size_shape": model_config.mean_size_shape,
                 "mean_size_rate": model_config.mean_size_rate,
                 "dispersion": model_config.dispersion,
-                "normalization": model_config.normalization,
             },
             "sampler": {
                 "chains": sampler_config.chains,

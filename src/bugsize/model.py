@@ -21,19 +21,12 @@ from scipy.special import gammaln
 __all__ = [
     "TestCampaign",
     "ModelConfig",
-    "BugAssignment",
     "AugmentedState",
-    "phase_detection_prob",
     "cell_probabilities",
     "detection_prob",
-    "bug_log_likelihood",
+    "detection_loglik",
     "nb_log_pmf",
-    "gamma_log_pdf",
 ]
-
-# Cell probabilities in the one-trial categorical likelihood must sum to 1;
-# "sum" divides each raw cell mass by the total raw mass.
-NORMALIZATION_POLICIES = ("sum",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +103,6 @@ class ModelConfig:
     dispersion : float
         Negative-binomial dispersion of sizes around their mean
         (variance = mean + mean**2 / dispersion).
-    normalization : str
-        Cell-probability policy; only "sum" is currently defined.
     """
 
     max_bugs: int
@@ -119,7 +110,6 @@ class ModelConfig:
     mean_size_shape: float = 50.0
     mean_size_rate: float = 0.5
     dispersion: float = 50.0
-    normalization: str = "sum"
 
     def __post_init__(self):
         if self.max_bugs < 1:
@@ -130,68 +120,6 @@ class ModelConfig:
             raise ValueError("gamma prior hyperparameters must be positive")
         if self.dispersion <= 0:
             raise ValueError("dispersion must be positive")
-        if self.normalization not in NORMALIZATION_POLICIES:
-            raise ValueError(
-                f"unknown normalization policy {self.normalization!r}; "
-                f"known: {', '.join(NORMALIZATION_POLICIES)}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class BugAssignment:
-    """Per-candidate detection cells over the augmented candidate list.
-
-    ``cell[i]`` is the flat index ``j * phases + k`` of the single cell in
-    which candidate i was detected, or -1 if it was never detected.  At most
-    one detection per candidate, so each row of the equivalent
-    max_bugs x (J*K + 1) indicator array sums to 0 or 1.
-    """
-
-    cell: np.ndarray
-    missions: int
-    phases: int
-
-    def __post_init__(self):
-        c = np.asarray(self.cell, dtype=np.int64)
-        if c.ndim != 1:
-            raise ValueError("cell must be a 1-D array of flat cell indices")
-        if np.any(c < -1) or np.any(c >= self.missions * self.phases):
-            raise ValueError("cell indices out of range")
-        object.__setattr__(self, "cell", c)
-
-    def __eq__(self, other):
-        if not isinstance(other, BugAssignment):
-            return NotImplemented
-        return (
-            self.missions == other.missions
-            and self.phases == other.phases
-            and np.array_equal(self.cell, other.cell)
-        )
-
-    @property
-    def max_bugs(self) -> int:
-        return int(self.cell.shape[0])
-
-    @property
-    def detected(self) -> np.ndarray:
-        """Boolean mask of candidates detected somewhere in the campaign."""
-        return self.cell >= 0
-
-    @property
-    def undetected(self) -> np.ndarray:
-        """Indicator (1 iff never detected) for each candidate."""
-        return (self.cell < 0).astype(np.int64)
-
-    @property
-    def detected_total(self) -> int:
-        return int(np.count_nonzero(self.cell >= 0))
-
-    def counts(self) -> np.ndarray:
-        """Reconstruct the J x K detected-bug count matrix."""
-        found = self.cell[self.cell >= 0]
-        return np.bincount(found, minlength=self.missions * self.phases).reshape(
-            self.missions, self.phases
-        )
 
 
 @dataclass
@@ -227,45 +155,14 @@ class AugmentedState:
         """Number of currently included candidates."""
         return int(np.count_nonzero(self.include))
 
-    def validate(self) -> None:
-        """Raise if the state violates its structural invariants."""
-        m = self.max_bugs
-        if not (self.size.shape == self.mean_size.shape == self.detected.shape == (m,)):
-            raise ValueError("state arrays must share one length")
-        if np.any(self.detected & ~self.include):
-            raise ValueError("detected candidates must be included")
-        if np.any(self.size < 0):
-            raise ValueError("sizes must be non-negative")
-        if np.any(self.mean_size <= 0):
-            raise ValueError("size means must be positive")
-        if not 0.0 < self.inclusion_prob < 1.0:
-            raise ValueError("inclusion probability must lie in (0, 1)")
 
-
-def phase_detection_prob(t):
-    """Probability that a cell running ``t`` test cases detects a present bug.
-
-    Equals ``1 - exp(-t)``: zero effort detects nothing, and the probability
-    rises monotonically toward (but never reaches) 1.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("test-case count must be non-negative")
-    return (-np.expm1(-t))[()]
-
-
-def cell_probabilities(test_cases, normalization: str = "sum"):
+def cell_probabilities(test_cases):
     """Normalized per-cell detection probabilities for a campaign grid.
 
-    Each cell's raw mass is ``1 - exp(-T[j, k])``; the "sum" policy rescales
-    so the grid sums to 1, making the one-trial detection likelihood a proper
-    categorical distribution.  Cells with zero test cases get probability 0.
+    Each cell's raw mass is ``1 - exp(-T[j, k])``, rescaled so the grid sums
+    to 1: a detected bug lands in exactly one cell.  Cells with zero test
+    cases get probability 0.
     """
-    if normalization not in NORMALIZATION_POLICIES:
-        raise ValueError(
-            f"unknown normalization policy {normalization!r}; "
-            f"known: {', '.join(NORMALIZATION_POLICIES)}"
-        )
     t = np.asarray(test_cases, dtype=float)
     if np.any(t < 0):
         raise ValueError("test-case counts must be non-negative")
@@ -274,6 +171,11 @@ def cell_probabilities(test_cases, normalization: str = "sum"):
     if total <= 0.0:
         raise ValueError("no testing effort: every cell has zero test cases")
     return raw / total
+
+
+def _detection_rate(size, exponent: float, t_max: float) -> np.ndarray:
+    # x = size**exponent / t_max; a real bug escapes the campaign w.p. exp(-x)
+    return np.power(np.asarray(size, dtype=float), exponent) / t_max
 
 
 def detection_prob(size, exponent: float, t_max: float):
@@ -290,48 +192,23 @@ def detection_prob(size, exponent: float, t_max: float):
     s = np.asarray(size, dtype=float)
     if np.any(s < 0):
         raise ValueError("size must be non-negative")
-    return (-np.expm1(-np.power(s, exponent) / t_max))[()]
+    return (-np.expm1(-_detection_rate(s, exponent, t_max)))[()]
 
 
-def bug_log_likelihood(cell, included: bool, size, cell_probs, exponent: float, t_max: float) -> float:
-    """Log-probability of one candidate's detection outcome.
+def detection_loglik(size, include, detected, exponent: float, t_max: float) -> np.ndarray:
+    """Per-candidate detection log-likelihood; the one likelihood the sampler runs.
 
-    Parameters
-    ----------
-    cell : tuple of (j, k) or None
-        Cell in which the candidate was detected, or None if never detected.
-    included : bool
-        Whether the candidate is currently a real bug.
-    size : int
-        The candidate's eventual size.
-    cell_probs : ndarray, shape (J, K)
-        Normalized cell probabilities from :func:`cell_probabilities`.
-    exponent, t_max : float
-        Detection-kernel parameters.
-
-    Returns
-    -------
-    float
-        ``log(alpha * cell_probs[cell])`` for a detected real bug,
-        ``log(1 - alpha)`` for an undetected real bug, and 0 for an excluded
-        candidate (which is undetected with probability 1).
+    ``log(alpha)`` for a detected candidate (``alpha`` is :func:`detection_prob`),
+    ``log(1 - alpha) = -size**exponent / t_max`` for an included candidate never
+    detected, and 0 for an excluded one.  A detected bug's cell term
+    ``cell_probabilities(T)[j, k]`` does not depend on its size, so it is a
+    constant that cancels from every ratio and is omitted: the campaign enters
+    only through ``t_max`` and the ``detected`` flags (the detected count).
     """
-    if cell is not None and not included:
-        raise ValueError("impossible configuration: detected candidate excluded")
-    if not included:
-        return 0.0
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    if t_max <= 0:
-        raise ValueError("detection kernel undefined without test cases")
-    x = np.power(float(size), exponent) / t_max
-    if cell is None:
-        return float(-x)
-    alpha = -np.expm1(-x)
-    p = float(np.asarray(cell_probs)[cell])
-    if alpha <= 0.0 or p <= 0.0:
-        return float("-inf")
-    return float(np.log(alpha) + np.log(p))
+    x = _detection_rate(size, exponent, t_max)
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(-np.expm1(-x))
+    return np.where(detected, log_alpha, np.where(include, -x, 0.0))
 
 
 def nb_log_pmf(s, mean, dispersion: float):
@@ -356,23 +233,4 @@ def nb_log_pmf(s, mean, dispersion: float):
         - r * np.log1p(lam / r)
         + s_arr * (np.log(lam) - np.log(lam + r))
     )
-    return out[()]
-
-
-def gamma_log_pdf(x, shape: float, rate: float):
-    """Gamma log-density with shape/rate parameterization.
-
-    Returns -inf outside the (0, inf) support rather than raising.
-    """
-    if shape <= 0 or rate <= 0:
-        raise ValueError("shape and rate must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            shape * np.log(rate)
-            - gammaln(shape)
-            + (shape - 1.0) * np.log(x_arr)
-            - rate * x_arr
-        )
-        out = np.where(x_arr > 0, out, -np.inf)
     return out[()]

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AugmentedState, ModelConfig, TestCampaign, nb_log_pmf
+from .model import (
+    AugmentedState,
+    ModelConfig,
+    TestCampaign,
+    _detection_rate,
+    detection_loglik,
+    nb_log_pmf,
+)
 
 __all__ = [
     "SamplerConfig",
@@ -135,25 +142,6 @@ def draw_inclusion_prob(n_included: int, max_bugs: int, rng: np.random.Generator
     return float(rng.beta(n_included + 1.0, max_bugs - n_included + 1.0))
 
 
-def _nondetection(size, exponent: float, t_max: float) -> np.ndarray:
-    # exp(-s**exponent / t_max), the exact complement of the detection kernel
-    return np.exp(-np.power(np.asarray(size, dtype=float), exponent) / t_max)
-
-
-def _detection_loglik(
-    size, include: np.ndarray, detected: np.ndarray, exponent: float, t_max: float
-) -> np.ndarray:
-    """Per-candidate detection log-likelihood, up to the constant cell term.
-
-    The normalized cell probability of a detected candidate does not depend
-    on its size, so it is omitted; every ratio taken downstream cancels it.
-    """
-    x = np.power(np.asarray(size, dtype=float), exponent) / t_max
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(-np.expm1(-x))
-    return np.where(detected, log_alpha, np.where(include, -x, 0.0))
-
-
 def update_inclusion(
     state: AugmentedState,
     campaign: TestCampaign,
@@ -171,7 +159,7 @@ def update_inclusion(
     """
     psi = state.inclusion_prob
     if use_likelihood:
-        miss = _nondetection(state.size, config.size_exponent, campaign.t_max)
+        miss = np.exp(-_detection_rate(state.size, config.size_exponent, campaign.t_max))
         weight = psi * miss
         q = weight / (weight + (1.0 - psi))
     else:
@@ -203,10 +191,10 @@ def update_sizes(
     lam = state.mean_size
     proposal = rng.negative_binomial(r, r / (r + lam)).astype(np.int64)
     if use_likelihood:
-        cur = _detection_loglik(
+        cur = detection_loglik(
             state.size, state.include, state.detected, config.size_exponent, campaign.t_max
         )
-        new = _detection_loglik(
+        new = detection_loglik(
             proposal, state.include, state.detected, config.size_exponent, campaign.t_max
         )
         log_ratio = new - cur
@@ -224,7 +212,6 @@ def update_mean_sizes(
     state: AugmentedState,
     config: ModelConfig,
     rng: np.random.Generator,
-    include_size_term: bool = True,
 ) -> float:
     """One Metropolis-Hastings sweep over all size means.
 
@@ -232,10 +219,8 @@ def update_mean_sizes(
     the gamma prior on the mean.  The proposal Gamma(shape + size, rate + 1)
     is the exact conditional were sizes Poisson, so the correction compares
     the negative-binomial pmf against the Poisson kernel at proposed and
-    current means; it tends to 1 as dispersion grows.  With
-    ``include_size_term=False`` the size pmf is dropped and the sweep
-    targets the bare gamma prior (prior-recovery testing hook).  Updates the
-    state in place; returns the overall acceptance fraction.
+    current means; it tends to 1 as dispersion grows.  Updates the state in
+    place; returns the overall acceptance fraction.
     """
     a = config.mean_size_shape
     b = config.mean_size_rate
@@ -244,10 +229,7 @@ def update_mean_sizes(
     proposal = rng.gamma(a + s, 1.0 / (b + 1.0))
 
     def score(lam: np.ndarray) -> np.ndarray:
-        poisson_kernel = s * np.log(lam) - lam
-        if include_size_term:
-            return nb_log_pmf(state.size, lam, r) - poisson_kernel
-        return -poisson_kernel
+        return nb_log_pmf(state.size, lam, r) - (s * np.log(lam) - lam)
 
     log_ratio = score(proposal) - score(state.mean_size)
     with np.errstate(divide="ignore"):
@@ -283,12 +265,8 @@ def _initial_state(
         mean_size = rng.gamma(model_config.mean_size_shape, 1.0 / model_config.mean_size_rate, m)
     r = model_config.dispersion
     size = rng.negative_binomial(r, r / (r + mean_size)).astype(np.int64)
-    # a detected bug of size 0 would be undetectable; restart those draws
-    while True:
-        stuck = detected & (size == 0)
-        if not stuck.any():
-            break
-        size[stuck] = rng.negative_binomial(r, r / (r + mean_size[stuck]))
+    # a detected bug of size 0 would be undetectable; start those at size 1
+    size = np.maximum(size, detected)
     psi = float(rng.random())
     return AugmentedState(include, size, mean_size, psi, detected)
 

@@ -92,7 +92,7 @@ def generate_campaign(
     else:
         raise RuntimeError("could not draw a campaign with any testing effort")
 
-    cells = cell_probabilities(test_cases, model_config.normalization)
+    cells = cell_probabilities(test_cases)
     t_max = float(test_cases.max())
 
     a = model_config.mean_size_shape

@@ -174,6 +174,18 @@ def test_diagnose_unknown_parameter(tmp_path, capsys):
 
 # -------------------------------------------------------------- exit codes
 
+def test_diagnose_malformed_draws(tmp_path, capsys):
+    code, out = run_fit(tmp_path, small_campaign_file(tmp_path))
+    assert code == 0
+    draws = out / "draws.csv"
+    lines = draws.read_text().splitlines()
+    draws.write_text("\n".join(l for l in lines if not l.startswith("1,199,")) + "\n")
+    capsys.readouterr()
+    assert main(["diagnose", str(draws), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{draws}: chain 1 has 99 draws of 'inclusion_prob', chain 0 has 100" in err
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["fit"]) == 1          # missing positional
     assert main(["no-such-command"]) == 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bugsize.dataio import (
-    build_assignment,
     build_report,
     read_campaign,
     read_draws,
@@ -14,7 +13,7 @@ from bugsize.dataio import (
     write_report,
     write_trace,
 )
-from bugsize.datasets import SAMPLE_CAMPAIGN_CSV, flight_software_campaign
+from bugsize.datasets import SAMPLE_CAMPAIGN_CSV
 from bugsize.diagnostics import summarize, trace_export
 from bugsize.model import ModelConfig, TestCampaign
 from bugsize.sampler import SamplerConfig, run_all
@@ -27,7 +26,7 @@ def small_chainset():
     config = ModelConfig(max_bugs=8, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
     return campaign, config, run_all(
         campaign, config,
-        SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60, keep_candidate_draws=True),
+        SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60),
     )
 
 
@@ -91,39 +90,6 @@ def test_read_campaign_errors(tmp_path):
         read_campaign(tmp_path / "missing.csv")
 
 
-# ------------------------------------------------------------- assignment
-
-def test_build_assignment_single_detection():
-    campaign = TestCampaign(test_cases=[[5]], bugs_detected=[[1]])
-    a = build_assignment(campaign, 3)
-    assert a.cell.tolist() == [0, -1, -1]
-
-
-def test_build_assignment_flight_campaign():
-    campaign = flight_software_campaign()
-    a = build_assignment(campaign, 400)
-    assert a.detected_total == 61
-    assert a.max_bugs == 400
-    # every row of the indicator layout sums to 0 or 1: a candidate either
-    # occupies exactly one detection cell or none
-    assert np.all(a.detected.astype(int) + a.undetected == 1)
-    assert np.array_equal(a.counts(), campaign.bugs_detected)
-
-
-def test_build_assignment_deterministic_and_lexicographic():
-    campaign = TestCampaign(test_cases=[[5, 5], [5, 5]], bugs_detected=[[1, 2], [0, 1]])
-    a = build_assignment(campaign, 6)
-    b = build_assignment(campaign, 6)
-    assert a == b
-    assert a.cell.tolist() == [0, 1, 1, 3, -1, -1]
-
-
-def test_build_assignment_rejects_low_ceiling():
-    campaign = TestCampaign(test_cases=[[5]], bugs_detected=[[4]])
-    with pytest.raises(ValueError, match="ceiling"):
-        build_assignment(campaign, 3)
-
-
 # --------------------------------------------------------------- draws CSV
 
 def test_draws_round_trip(tmp_path, small_chainset):
@@ -174,19 +140,30 @@ def test_draws_empty_chainset(tmp_path):
     assert loaded.n_chains == 0 and loaded.base_seed == 5
 
 
-def test_candidate_companion_file(tmp_path, small_chainset):
+def test_read_draws_rejects_short_chain(tmp_path, small_chainset):
     _, _, chainset = small_chainset
     path = tmp_path / "draws.csv"
-    write_draws(chainset, path, include_candidates=True)
-    companion = tmp_path / "draws_candidates.csv"
-    lines = companion.read_text().splitlines()
-    assert lines[0] == "chain,iteration,candidate,include,size,mean_size"
-    assert len(lines) - 1 == 3 * 20 * 8  # chains * kept * candidates
+    write_draws(chainset, path)
+    last = chainset.chains[1].iterations[-1]
+    lines = [l for l in path.read_text().splitlines() if not l.startswith(f"1,{last},")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}: chain 1 has 19 draws of 'inclusion_prob', chain 0 has 20"
 
-    for chain in chainset.chains:
-        chain.candidate_draws = None
-    with pytest.raises(ValueError, match="keep_candidate_draws"):
-        write_draws(chainset, path, include_candidates=True)
+
+def test_read_draws_rejects_missing_parameter(tmp_path, small_chainset):
+    _, _, chainset = small_chainset
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    lines = [
+        l for l in path.read_text().splitlines()
+        if not (l.startswith("2,") and l.split(",")[2] == "total_bugs")
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}: chain 2 has no draws of 'total_bugs'"
 
 
 # ------------------------------------------------------------ report JSON
@@ -200,7 +177,7 @@ def test_report_document_round_trip(tmp_path, small_chainset):
     path = tmp_path / "report.json"
     write_report(doc, path)
     loaded = json.loads(path.read_text())
-    assert loaded["format"] == "bugsize-report-v1"
+    assert loaded["format"] == "bugsize-report-v2"
     assert loaded["config"]["model"]["max_bugs"] == config.max_bugs
     assert loaded["config"]["sampler"]["seed"] == 60
     assert loaded["seeds"]["chains"] == ["60:0", "60:1", "60:2"]

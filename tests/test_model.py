@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
+from scipy import stats
 
 from bugsize.model import (
     AugmentedState,
-    BugAssignment,
     ModelConfig,
     TestCampaign,
-    bug_log_likelihood,
     cell_probabilities,
+    detection_loglik,
     detection_prob,
-    gamma_log_pdf,
     nb_log_pmf,
-    phase_detection_prob,
 )
 
 
@@ -47,20 +44,8 @@ def test_model_config_validation():
         ModelConfig(max_bugs=10, size_exponent=0.0)
     with pytest.raises(ValueError):
         ModelConfig(max_bugs=10, dispersion=-1.0)
-    with pytest.raises(ValueError):
-        ModelConfig(max_bugs=10, normalization="product")
     cfg = ModelConfig(max_bugs=400)
     assert cfg.mean_size_shape == 50.0 and cfg.mean_size_rate == 0.5
-
-
-def test_assignment_row_sums_and_counts():
-    cell = np.array([0, 0, 3, -1, -1])
-    a = BugAssignment(cell=cell, missions=2, phases=2)
-    assert a.detected_total == 3
-    assert list(a.undetected) == [0, 0, 0, 1, 1]
-    # each candidate is detected in at most one cell
-    assert np.all(a.detected.astype(int) + a.undetected == 1)
-    assert a.counts().tolist() == [[2, 0], [0, 1]]
 
 
 def test_augmented_state_validation():
@@ -71,33 +56,10 @@ def test_augmented_state_validation():
         inclusion_prob=0.4,
         detected=np.array([True, False]),
     )
-    state.validate()
     assert state.total_bugs == 1
-    state.include[0] = False  # detected candidate must stay included
-    with pytest.raises(ValueError):
-        state.validate()
 
 
-# ------------------------------------------------------ per-cell detection
-
-def test_phase_detection_prob_values():
-    assert phase_detection_prob(0) == 0.0
-    assert_allclose(phase_detection_prob(1), 0.6321205588285577, rtol=0, atol=1e-15)
-    assert_allclose(phase_detection_prob(50), 1.0 - np.exp(-50.0), rtol=0, atol=1e-15)
-
-
-def test_phase_detection_prob_monotone_bounded():
-    rng = np.random.default_rng(1)
-    t = np.sort(rng.uniform(0.0, 80.0, size=300))
-    p = phase_detection_prob(t)
-    assert np.all(p >= 0.0) and np.all(p <= 1.0)
-    assert np.all(np.diff(p) >= 0.0)
-    # strictly below 1 wherever float64 can still resolve exp(-t)
-    modest = t[t < 36.0]
-    assert np.all(phase_detection_prob(modest) < 1.0)
-    with pytest.raises(ValueError):
-        phase_detection_prob(-0.5)
-
+# ------------------------------------------------------ cell probabilities
 
 def test_cell_probabilities_trivial_cases():
     assert_allclose(cell_probabilities([[1]]), [[1.0]])
@@ -125,8 +87,6 @@ def test_cell_probabilities_sum_to_one():
 def test_cell_probabilities_errors():
     with pytest.raises(ValueError, match="no testing effort"):
         cell_probabilities([[0, 0], [0, 0]])
-    with pytest.raises(ValueError, match="normalization"):
-        cell_probabilities([[1]], normalization="raw")
 
 
 # ------------------------------------------------------- detection kernel
@@ -159,43 +119,42 @@ def test_detection_prob_errors():
         detection_prob(-1, 1.0, 50)
 
 
-# ----------------------------------------------------- per-bug likelihood
+# ---------------------------------------------------- detection likelihood
 
-def test_bug_log_likelihood_cases():
-    cells = cell_probabilities([[1, 0], [2, 3]])
-    assert bug_log_likelihood(None, False, 7, cells, 1.5, 50) == 0.0
+def test_detection_loglik_cases():
+    # an excluded candidate is undetected with probability 1
+    assert detection_loglik(7, False, False, 1.5, 50) == 0.0
     # alpha = 0.5 exactly when size**exponent equals t_max * ln 2
     t_max = 7.0 / np.log(2.0)
-    ll = bug_log_likelihood(None, True, 7, cells, 1.0, t_max)
-    assert_allclose(ll, np.log(0.5), rtol=0, atol=1e-12)
-    # detected at a quarter-probability cell with near-certain detection
-    quarter = np.full((2, 2), 0.25)
-    ll = bug_log_likelihood((0, 0), True, 100, quarter, 1.5, 50)
-    assert_allclose(ll, -1.3862943631810443, rtol=0, atol=1e-12)
+    assert_allclose(detection_loglik(7, True, False, 1.0, t_max), np.log(0.5), rtol=0, atol=1e-12)
+    assert_allclose(detection_loglik(7, True, True, 1.0, t_max), np.log(0.5), rtol=0, atol=1e-12)
+    # a size-0 bug can never be detected
+    assert detection_loglik(0, True, True, 1.5, 50) == -np.inf
+    # vectorised over candidates: 100**1.5 / 50 = 20
+    ll = detection_loglik([100, 100, 100], [True, True, False], [True, False, False], 1.5, 50)
+    assert_allclose(ll, [np.log(detection_prob(100, 1.5, 50)), -20.0, 0.0], rtol=1e-12)
 
 
-def test_bug_log_likelihood_impossible():
-    cells = cell_probabilities([[1]])
-    with pytest.raises(ValueError, match="impossible configuration"):
-        bug_log_likelihood((0, 0), False, 5, cells, 1.0, 5)
-
-
-def test_bug_log_likelihood_is_proper_categorical():
+def test_detection_loglik_is_proper_categorical():
+    # adding the cell term back gives a proper distribution over outcomes,
+    # and that term cancels from any ratio of two sizes
     rng = np.random.default_rng(4)
     for _ in range(25):
         t = rng.integers(0, 40, size=(3, 4))
         if t.sum() == 0:
             continue
         cells = cell_probabilities(t)
-        size = int(rng.integers(1, 300))
-        total = np.exp(bug_log_likelihood(None, True, size, cells, 1.5, t.max()))
-        for j in range(3):
-            for k in range(4):
-                if cells[j, k] > 0:
-                    total += np.exp(
-                        bug_log_likelihood((j, k), True, size, cells, 1.5, t.max())
-                    )
-        assert abs(total - 1.0) < 1e-12
+        size = rng.integers(1, 300, size=2)
+        miss = np.exp(detection_loglik(size[0], True, False, 1.5, t.max()))
+        hit = np.exp(detection_loglik(size[0], True, True, 1.5, t.max()))
+        assert abs(miss + (hit * cells).sum() - 1.0) < 1e-12
+        j, k = np.unravel_index(np.argmax(cells), cells.shape)
+        with_cells = np.log(detection_prob(size, 1.5, t.max()) * cells[j, k])
+        assert_allclose(
+            with_cells[1] - with_cells[0],
+            np.diff(detection_loglik(size, True, True, 1.5, t.max()))[0],
+            rtol=1e-9, atol=1e-12,
+        )
 
 
 # ----------------------------------------------------------------- priors
@@ -230,26 +189,3 @@ def test_nb_log_pmf_errors():
         nb_log_pmf(1, 0.0, 2.0)
     with pytest.raises(ValueError):
         nb_log_pmf(1, 5.0, 0.0)
-
-
-def test_gamma_log_pdf_defaults():
-    # mode (a-1)/b = 98 at the default prior
-    grid = np.linspace(80.0, 120.0, 4001)
-    dense = gamma_log_pdf(grid, 50.0, 0.5)
-    assert abs(grid[np.argmax(dense)] - 98.0) < 0.02
-    total, _ = integrate.quad(lambda x: np.exp(gamma_log_pdf(x, 50.0, 0.5)), 0, 400)
-    assert abs(total - 1.0) < 1e-6
-    mean, _ = integrate.quad(lambda x: x * np.exp(gamma_log_pdf(x, 50.0, 0.5)), 0, 400)
-    assert abs(mean - 100.0) < 1e-4
-
-
-def test_gamma_log_pdf_support_and_scipy():
-    assert gamma_log_pdf(0.0, 50.0, 0.5) == -np.inf
-    assert gamma_log_pdf(-3.0, 50.0, 0.5) == -np.inf
-    rng = np.random.default_rng(6)
-    x = rng.uniform(0.01, 200.0, size=40)
-    assert_allclose(
-        gamma_log_pdf(x, 3.5, 0.7),
-        stats.gamma.logpdf(x, 3.5, scale=1.0 / 0.7),
-        rtol=1e-10,
-    )

@@ -6,7 +6,6 @@ from bugsize.model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
-    gamma_log_pdf,
     nb_log_pmf,
 )
 from bugsize.sampler import (
@@ -204,7 +203,7 @@ def test_update_mean_sizes_matches_quadrature():
     config = ModelConfig(max_bugs=1)
 
     def target(lam):
-        return np.exp(nb_log_pmf(100.0, lam, 50.0) + gamma_log_pdf(lam, 50.0, 0.5))
+        return np.exp(nb_log_pmf(100.0, lam, 50.0) + stats.gamma.logpdf(lam, 50.0, scale=2.0))
 
     norm, _ = integrate.quad(target, 1e-9, 500, limit=200)
     first, _ = integrate.quad(lambda l: l * target(l), 1e-9, 500, limit=200)
@@ -217,19 +216,6 @@ def test_update_mean_sizes_matches_quadrature():
         update_mean_sizes(state, config, rng)
         draws[i] = state.mean_size[0]
     assert abs(draws[5000:].mean() - exact_mean) / exact_mean < 0.01
-
-
-def test_update_mean_sizes_prior_only_recovers_gamma():
-    config = ModelConfig(max_bugs=1)
-    rng = np.random.default_rng(20)
-    state = make_state([True], [100], [100.0], 0.5, [True])
-    draws = np.empty(50_000)
-    for i in range(draws.size):
-        update_mean_sizes(state, config, rng, include_size_term=False)
-        draws[i] = state.mean_size[0]
-    kept = draws[5000:]
-    assert abs(kept.mean() - 100.0) < 2.0
-    assert abs(kept.var() - 200.0) / 200.0 < 0.2
 
 
 # -------------------------------------------------------------- run_chain
@@ -255,7 +241,7 @@ def test_run_chain_zero_detections_matches_enumeration():
         dispersion=5.0,
     )
     lam = np.linspace(1e-4, 40.0, 6001)
-    weights = np.exp(gamma_log_pdf(lam, 2.0, 1.0))
+    weights = np.exp(stats.gamma.logpdf(lam, 2.0, scale=1.0))
     s = np.arange(0, 201)
     size_marginal = np.trapezoid(
         np.exp(nb_log_pmf(s[:, None], lam[None, :], 5.0)) * weights[None, :], lam, axis=1
@@ -343,6 +329,18 @@ def test_run_all_rejects_low_ceiling():
     camp = TestCampaign(test_cases=[[5]], bugs_detected=[[4]])
     with pytest.raises(ValueError, match="ceiling"):
         run_all(camp, ModelConfig(max_bugs=2), SamplerConfig(iterations=10))
+
+
+def test_run_all_starts_when_prior_sizes_are_all_zero():
+    # a size mean of 1e-9 makes every prior size draw 0; detected candidates
+    # start at size 1, the smallest detectable size, and keep it
+    camp = TestCampaign(test_cases=[[5, 2]], bugs_detected=[[2, 1]])
+    scfg = SamplerConfig(chains=2, iterations=5, seed=3, fixed_mean_size=1e-9, track=(0, 2, 3))
+    chainset = run_all(camp, ModelConfig(max_bugs=6), scfg)
+    for chain in chainset.chains:
+        assert np.all(chain.draws["size[0]"] == 1) and np.all(chain.draws["size[2]"] == 1)
+        assert np.all(chain.draws["size[3]"] == 0)
+        assert np.all(chain.draws["remaining_size"] == 0)
 
 
 def test_kept_state_invariants():
