@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-bugs", type=int, default=400)
     fit.add_argument("--dispersion", type=float, default=50.0)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--threads", type=int, default=1, help="max concurrent chains")
+    fit.add_argument("--threads", type=int, default=1,
+                     help="max worker processes (one chain each)")
     fit.add_argument("--rhat-warn", type=float, default=1.1)
     fit.add_argument("--strict", action="store_true",
                      help="treat a convergence warning as a soft failure (exit 2)")

@@ -174,13 +174,26 @@ def read_draws(path) -> ChainSet:
 
     per_chain: dict[int, dict[str, list[float]]] = {}
     per_chain_iters: dict[int, dict[str, list[int]]] = {}
-    for line in lines[header_at + 1 :]:
-        if not line:
-            continue
-        chain_s, it_s, name, value_s = line.split(",", 3)
-        chain_id = int(chain_s)
-        per_chain.setdefault(chain_id, {}).setdefault(name, []).append(float(value_s))
-        per_chain_iters.setdefault(chain_id, {}).setdefault(name, []).append(int(it_s))
+    # one try around the whole loop: a well-formed file pays nothing per row
+    try:
+        for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
+            if not line:
+                continue
+            chain_s, it_s, name, value_s = line.split(",", 3)
+            chain_id = int(chain_s)
+            per_chain.setdefault(chain_id, {}).setdefault(name, []).append(float(value_s))
+            per_chain_iters.setdefault(chain_id, {}).setdefault(name, []).append(int(it_s))
+    except ValueError:
+        fields = line.count(",") + 1
+        if fields < 4:
+            raise ValueError(
+                f"{path}:{lineno}: expected 4 fields (chain,iteration,parameter,value), "
+                f"got {fields}"
+            ) from None
+        raise ValueError(
+            f"{path}:{lineno}: chain and iteration must be integers and value a number, "
+            f"got {line!r}"
+        ) from None
 
     chains = []
     for chain_id in sorted(per_chain):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .sampler import ChainSet
 
@@ -80,13 +79,17 @@ def split_rhat(chains, confidence: float = 0.975) -> tuple[float, float]:
     ratio = b / (n * w)
     rhat = max(1.0, float(np.sqrt((n - 1) / n + ratio)))
 
+    # the quantile functions scipy.stats.chi2.ppf / f.ppf call, imported here
+    # so that no command pays for scipy.stats
+    from scipy import special
+
     n_seq = seqs.shape[0]
     var_w = float(variances.var(ddof=1)) / n_seq
     if var_w == 0.0:
-        f_quantile = float(stats.chi2.ppf(confidence, n_seq - 1)) / (n_seq - 1)
+        f_quantile = float(2.0 * special.gammaincinv((n_seq - 1) / 2, confidence)) / (n_seq - 1)
     else:
         df_w = 2.0 * w * w / var_w
-        f_quantile = float(stats.f.ppf(confidence, n_seq - 1, df_w))
+        f_quantile = float(special.fdtri(n_seq - 1, df_w, confidence))
     upper = float(np.sqrt((n - 1) / n + f_quantile * ratio))
     return rhat, max(upper, rhat)
 

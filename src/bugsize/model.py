@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "TestCampaign",
@@ -217,6 +216,8 @@ def nb_log_pmf(s, mean, dispersion: float):
     The variance is ``mean + mean**2 / dispersion``; as dispersion grows the
     distribution tightens toward a Poisson with the same mean.
     """
+    from scipy.special import gammaln  # imported here so no command pays for scipy
+
     s_arr = np.asarray(s, dtype=float)
     lam = np.asarray(mean, dtype=float)
     r = float(dispersion)

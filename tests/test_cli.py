@@ -1,5 +1,11 @@
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import bugsize
 from bugsize.cli import main
 from bugsize.dataio import read_campaign, write_campaign
 from bugsize.model import TestCampaign
@@ -186,7 +192,62 @@ def test_diagnose_malformed_draws(tmp_path, capsys):
     assert f"{draws}: chain 1 has 99 draws of 'inclusion_prob', chain 0 has 100" in err
 
 
+def test_diagnose_non_numeric_draw(tmp_path, capsys):
+    code, out = run_fit(tmp_path, small_campaign_file(tmp_path))
+    assert code == 0
+    draws = out / "draws.csv"
+    lines = draws.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith("1,150,total_bugs,"))
+    lines[at] = "1,150,total_bugs,abc"
+    draws.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["diagnose", str(draws), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"bugsize: error: {draws}:{at + 1}: chain and iteration must be integers" in err
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["fit"]) == 1          # missing positional
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------- import hygiene
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {}
+import bugsize.cli
+seen["import"] = scipy_modules()
+draws, campaign, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bugsize.cli.main(["reliability", draws, "--epsilon", "10,50", "--out", out]) == 0
+    seen["reliability"] = scipy_modules()
+    assert bugsize.cli.main(["fit", campaign, "--chains", "2", "--iters", "40",
+                             "--max-bugs", "10", "--out", out]) == 0
+seen["fit"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_scipy_only_for_rhat(tmp_path):
+    # scipy.stats costs over a second to import; only R-hat's bound needs
+    # scipy at all, and then only scipy.special
+    campaign_path = small_campaign_file(tmp_path)
+    _, out = run_fit(tmp_path, campaign_path)
+    src = str(Path(bugsize.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(out / "draws.csv"), str(campaign_path),
+         str(tmp_path / "probe")],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    seen = json.loads(probe.stdout)
+    assert seen["import"] == []
+    assert seen["reliability"] == []
+    assert "scipy.special" in seen["fit"]
+    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in seen["fit"])

@@ -166,6 +166,28 @@ def test_read_draws_rejects_missing_parameter(tmp_path, small_chainset):
     assert str(err.value) == f"{path}: chain 2 has no draws of 'total_bugs'"
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,25,total_bugs,abc",
+         "chain and iteration must be integers and value a number, got '1,25,total_bugs,abc'"),
+        ("1,25,total_bugs", "expected 4 fields (chain,iteration,parameter,value), got 3"),
+    ],
+    ids=["non-numeric-value", "three-fields"],
+)
+def test_read_draws_names_file_and_line_of_malformed_row(tmp_path, small_chainset, row, message):
+    _, _, chainset = small_chainset
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith("1,25,total_bugs,"))
+    lines[at] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}:{at + 1}: {message}"
+
+
 # ------------------------------------------------------------ report JSON
 
 def test_report_document_round_trip(tmp_path, small_chainset):

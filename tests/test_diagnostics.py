@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from bugsize.diagnostics import (
     effective_sample_size,
@@ -45,6 +46,37 @@ def test_split_rhat_never_below_one():
         rhat, upper = split_rhat(chains)
         assert rhat >= 1.0 - 1e-9
         assert upper >= rhat
+
+
+def stats_rhat_upper(x, confidence=0.975):
+    """Split R-hat's upper bound with the scipy.stats quantiles (reference)."""
+    n = x.shape[1] // 2
+    seqs = np.concatenate([x[:, :n], x[:, x.shape[1] - n :]], axis=0)
+    variances = seqs.var(axis=1, ddof=1)
+    w = float(variances.mean())
+    ratio = float(n * seqs.mean(axis=1).var(ddof=1)) / (n * w)
+    n_seq = seqs.shape[0]
+    var_w = float(variances.var(ddof=1)) / n_seq
+    if var_w == 0.0:
+        f_quantile = float(stats.chi2.ppf(confidence, n_seq - 1)) / (n_seq - 1)
+    else:
+        f_quantile = float(stats.f.ppf(confidence, n_seq - 1, 2.0 * w * w / var_w))
+    upper = float(np.sqrt((n - 1) / n + f_quantile * ratio))
+    return max(upper, max(1.0, float(np.sqrt((n - 1) / n + ratio))))
+
+
+def test_split_rhat_upper_matches_scipy_stats():
+    rng = np.random.default_rng(33)
+    cases = []
+    for _ in range(50):
+        k, length = rng.integers(2, 6), rng.integers(4, 300)
+        cases.append(rng.standard_normal((k, length)) + rng.uniform(0.0, 0.5, (k, 1)))
+    # var_w == 0: every split half has the same variance, the means differ
+    halves = np.vstack([[0.0, 1.0, 0.0, 1.0, 5.0, 6.0, 5.0, 6.0],
+                        [2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0]])
+    cases.append(halves)
+    for x in cases:
+        assert split_rhat(x)[1] == stats_rhat_upper(x)
 
 
 def test_split_rhat_input_validation():

@@ -218,6 +218,35 @@ def test_update_mean_sizes_matches_quadrature():
     assert abs(draws[5000:].mean() - exact_mean) / exact_mean < 0.01
 
 
+@pytest.mark.parametrize("dispersion", [0.5, 5.0, 50.0, 1e4])
+def test_update_mean_sizes_keeps_nb_log_pmf_decisions(dispersion):
+    # the sweep uses the closed form of the size-mean log ratio; replaying its
+    # draws, every accept/reject must match the nb_log_pmf-based ratio
+    m = 100_000
+    config = ModelConfig(max_bugs=m, dispersion=dispersion)
+    setup = np.random.default_rng(20)
+    size = setup.integers(0, 5001, m)
+    cur = np.exp(setup.uniform(np.log(1e-3), np.log(1e4), m))
+    state = make_state(np.ones(m), size, cur.copy(), 0.5, np.zeros(m))
+    rng = np.random.default_rng(21)
+    replay = np.random.default_rng(21)
+
+    update_mean_sizes(state, config, rng)
+
+    s = size.astype(float)
+    proposal = replay.gamma(config.mean_size_shape + s, 1.0 / (config.mean_size_rate + 1.0))
+    log_u = np.log(replay.random(m))
+
+    def score(lam):
+        return nb_log_pmf(size, lam, dispersion) - (s * np.log(lam) - lam)
+
+    ref = score(proposal) - score(cur)
+    assert np.array_equal(state.mean_size, np.where(log_u < ref, proposal, cur))
+    r = dispersion
+    closed = (proposal - cur) - (r + s) * np.log((r + proposal) / (r + cur))
+    assert np.max(np.abs(closed - ref)) <= 1e-8
+
+
 # -------------------------------------------------------------- run_chain
 
 def test_run_chain_deterministic():
