@@ -146,13 +146,16 @@ def read_draws(path) -> ChainSet:
     chain_meta: dict[int, dict] = {}
     header_at = None
     for idx, line in enumerate(lines[1:], start=1):
+        where = f"{path}:{idx + 1}"
         if line.startswith("# meta "):
             for token in line[len("# meta ") :].split():
                 key, _, value = token.partition("=")
-                meta[key] = int(value)
+                meta[key] = _parse_token(int, value, where, f"meta field {token!r}", "an integer")
         elif line.startswith("# chain "):
             tokens = line[len("# chain ") :].split()
-            chain_id = int(tokens[0])
+            if not tokens:
+                raise ValueError(f"{where}: chain line names no chain")
+            chain_id = _parse_token(int, tokens[0], where, f"chain id {tokens[0]!r}", "an integer")
             seed_key = ""
             acceptance = {}
             for token in tokens[1:]:
@@ -162,7 +165,9 @@ def read_draws(path) -> ChainSet:
                     continue
                 elif "=" in token:
                     k, _, v = token.partition("=")
-                    acceptance[k] = float(v)
+                    acceptance[k] = _parse_token(
+                        float, v, where, f"acceptance {token!r}", "a number"
+                    )
             chain_meta[chain_id] = {"seed_key": seed_key, "acceptance": acceptance}
         elif line.startswith("#"):
             continue
@@ -229,6 +234,13 @@ def read_draws(path) -> ChainSet:
         burn_in=meta.get("burn_in", 0),
         thin=meta.get("thin", 1),
     )
+
+
+def _parse_token(kind, text: str, where: str, what: str, expected: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} must be {expected}") from None
 
 
 def _jsonable(value):

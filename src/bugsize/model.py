@@ -13,7 +13,7 @@ a negative-binomial prior whose mean is itself gamma distributed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,20 +32,31 @@ __all__ = [
 class TestCampaign:
     """Observed campaign counts over a missions-by-phases grid.
 
+    The two count grids are kept as read-only copies, so the two numbers
+    through which the campaign reaches the posterior, computed once here,
+    can never go stale.
+
     Attributes
     ----------
     test_cases : ndarray of int, shape (J, K)
         Test cases run in mission j, phase k.
     bugs_detected : ndarray of int, shape (J, K)
         Bugs detected in mission j, phase k.
+    detected_total : int
+        Total detected bugs across all cells.
+    t_max : int
+        Largest per-cell test-case count; scales the detection kernel.
     """
 
     test_cases: np.ndarray
     bugs_detected: np.ndarray
+    detected_total: int = field(init=False)
+    t_max: int = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.test_cases, dtype=np.int64)
-        y = np.asarray(self.bugs_detected, dtype=np.int64)
+        # np.array copies even an int64 input: the caller's array stays theirs
+        t = np.array(self.test_cases, dtype=np.int64)
+        y = np.array(self.bugs_detected, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise ValueError("test_cases must be a J x K matrix with J, K >= 1")
         if y.shape != t.shape:
@@ -56,8 +67,12 @@ class TestCampaign:
             raise ValueError("test-case counts must be non-negative")
         if np.any(y < 0):
             raise ValueError("detected-bug counts must be non-negative")
+        t.flags.writeable = False
+        y.flags.writeable = False
         object.__setattr__(self, "test_cases", t)
         object.__setattr__(self, "bugs_detected", y)
+        object.__setattr__(self, "detected_total", int(y.sum()))
+        object.__setattr__(self, "t_max", int(t.max()))
 
     def __eq__(self, other):
         if not isinstance(other, TestCampaign):
@@ -73,16 +88,6 @@ class TestCampaign:
     @property
     def phases(self) -> int:
         return int(self.test_cases.shape[1])
-
-    @property
-    def detected_total(self) -> int:
-        """Total detected bugs across all cells."""
-        return int(self.bugs_detected.sum())
-
-    @property
-    def t_max(self) -> int:
-        """Largest per-cell test-case count; scales the detection kernel."""
-        return int(self.test_cases.max())
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,7 @@ def cell_probabilities(test_cases):
 
 def _detection_rate(size, exponent: float, t_max: float) -> np.ndarray:
     # x = size**exponent / t_max; a real bug escapes the campaign w.p. exp(-x)
-    return np.power(np.asarray(size, dtype=float), exponent) / t_max
+    return np.power(size, exponent, dtype=float) / t_max
 
 
 def detection_prob(size, exponent: float, t_max: float):
@@ -194,8 +199,13 @@ def detection_prob(size, exponent: float, t_max: float):
     return (-np.expm1(-_detection_rate(s, exponent, t_max)))[()]
 
 
+def _log_detection_prob(x):
+    # log(alpha) = log(1 - exp(-x)); -inf at size 0, so callers ignore divide
+    return np.log(-np.expm1(-x))
+
+
 def detection_loglik(size, include, detected, exponent: float, t_max: float) -> np.ndarray:
-    """Per-candidate detection log-likelihood; the one likelihood the sampler runs.
+    """Per-candidate detection log-likelihood.
 
     ``log(alpha)`` for a detected candidate (``alpha`` is :func:`detection_prob`),
     ``log(1 - alpha) = -size**exponent / t_max`` for an included candidate never
@@ -203,11 +213,30 @@ def detection_loglik(size, include, detected, exponent: float, t_max: float) -> 
     ``cell_probabilities(T)[j, k]`` does not depend on its size, so it is a
     constant that cancels from every ratio and is omitted: the campaign enters
     only through ``t_max`` and the ``detected`` flags (the detected count).
+
+    The sampler's sizes update runs :func:`_detection_loglik_ratio`, built
+    from the same rate and ``log(alpha)`` helpers; this function is the
+    reference that ratio must match bit for bit.
     """
     x = _detection_rate(size, exponent, t_max)
     with np.errstate(divide="ignore"):
-        log_alpha = np.log(-np.expm1(-x))
+        log_alpha = _log_detection_prob(x)
     return np.where(detected, log_alpha, np.where(include, -x, 0.0))
+
+
+def _detection_loglik_ratio(x_new, x_cur, detected) -> np.ndarray:
+    """``detection_loglik`` at new sizes minus at current ones, for included candidates.
+
+    Takes the rates of included candidates only (an excluded one's ratio is
+    0).  ``-x_new - (-x_cur)`` equals ``x_cur - x_new`` exactly in floating
+    point, so undetected candidates cost one subtraction, and only the
+    detected ones, selected by the boolean mask ``detected``, pay for
+    ``log(alpha)``.  A detected candidate at size 0 has
+    ``log(alpha) = -inf``; the caller ignores divide warnings.
+    """
+    out = x_cur - x_new
+    out[detected] = _log_detection_prob(x_new[detected]) - _log_detection_prob(x_cur[detected])
+    return out
 
 
 def nb_log_pmf(s, mean, dispersion: float):

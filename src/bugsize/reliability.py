@@ -38,22 +38,28 @@ def _remaining_draws(chainset: ChainSet) -> np.ndarray:
     return draws
 
 
+def _check_threshold(epsilon: float) -> None:
+    # NaN compares false both ways, so "epsilon < 0" alone would let it through
+    if np.isnan(epsilon):
+        raise ValueError("threshold must be a number, got nan")
+    if epsilon < 0:
+        raise ValueError("threshold must be non-negative")
+
+
 def reliability_at(chainset: ChainSet, epsilon: float) -> float:
     """Posterior probability that the remaining size is below ``epsilon``.
 
     Pooled over chains; the inequality is strict, so ``epsilon = 0`` always
     yields 0.
     """
-    if epsilon < 0:
-        raise ValueError("threshold must be non-negative")
+    _check_threshold(epsilon)
     draws = _remaining_draws(chainset)
     return float(np.count_nonzero(draws < epsilon) / draws.size)
 
 
 def chain_reliability(chainset: ChainSet, epsilon: float) -> list[float]:
     """Per-chain reliability estimates at one threshold, for stability checks."""
-    if epsilon < 0:
-        raise ValueError("threshold must be non-negative")
+    _check_threshold(epsilon)
     _remaining_draws(chainset)
     out = []
     for chain in chainset.chains:

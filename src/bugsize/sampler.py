@@ -6,6 +6,15 @@ conditional), every candidate's size (independence proposal from the size
 prior), and every candidate's size mean (conjugate-gamma surrogate
 proposal with a Metropolis-Hastings correction).  Chains are independent,
 each owning a seeded random generator spawned from the base seed.
+
+The sweep evaluates the detection kernel ``x = size**nu / t_max`` only
+where it is needed: the inclusion update for the undetected candidates, the
+sizes update for the included candidates alone (an excluded candidate's
+likelihood is flat, so it takes its proposal for certain), at their current
+and proposed sizes, with ``log(alpha)`` for the detected ones.  Its random
+calls, their arguments and their order are those of evaluating the full
+detection log-likelihood of every candidate at both sizes, so the draws are
+the same bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from .model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
+    _detection_loglik_ratio,
     _detection_rate,
-    detection_loglik,
     nb_log_pmf,  # not called here; perfbench's tracer wraps sampler.nb_log_pmf
 )
 
@@ -158,14 +167,14 @@ def update_inclusion(
     state in place and returns it.
     """
     psi = state.inclusion_prob
+    free = ~state.detected
     if use_likelihood:
-        miss = np.exp(-_detection_rate(state.size, config.size_exponent, campaign.t_max))
-        weight = psi * miss
+        x = _detection_rate(state.size[free], config.size_exponent, campaign.t_max)
+        weight = psi * np.exp(-x)
         q = weight / (weight + (1.0 - psi))
     else:
-        q = np.full(state.max_bugs, psi)
-    free = ~state.detected
-    state.include[free] = rng.random(int(free.sum())) < q[free]
+        q = psi
+    state.include[free] = rng.random(np.count_nonzero(free)) < q
     return state
 
 
@@ -188,24 +197,25 @@ def update_sizes(
     candidates (1.0 if none are included).
     """
     r = config.dispersion
-    lam = state.mean_size
-    proposal = rng.negative_binomial(r, r / (r + lam)).astype(np.int64)
-    if use_likelihood:
-        cur = detection_loglik(
-            state.size, state.include, state.detected, config.size_exponent, campaign.t_max
-        )
-        new = detection_loglik(
-            proposal, state.include, state.detected, config.size_exponent, campaign.t_max
-        )
-        log_ratio = new - cur
-    else:
-        log_ratio = np.zeros(state.max_bugs)
-    with np.errstate(divide="ignore"):
-        accept = np.log(rng.random(state.max_bugs)) < log_ratio
-    state.size = np.where(accept, proposal, state.size)
-    if not state.include.any():
-        return 1.0
-    return float(accept[state.include].mean())
+    proposal = rng.negative_binomial(r, r / (r + state.mean_size)).astype(np.int64, copy=False)
+    u = rng.random(state.max_bugs)
+    # log(u) < 0 for every u in [0, 1), so a candidate with a flat likelihood
+    # takes its proposal for certain: only included candidates are scored
+    # (detected ones are always included)
+    scored = np.flatnonzero(state.include)
+    if use_likelihood and scored.size:
+        cur = state.size[scored]
+        x_cur = _detection_rate(cur, config.size_exponent, campaign.t_max)
+        x_new = _detection_rate(proposal[scored], config.size_exponent, campaign.t_max)
+        with np.errstate(divide="ignore"):
+            log_ratio = _detection_loglik_ratio(x_new, x_cur, state.detected[scored])
+            accept = np.log(u[scored]) < log_ratio
+        rejected = ~accept
+        proposal[scored[rejected]] = cur[rejected]
+        state.size = proposal
+        return float(np.count_nonzero(accept) / scored.size)
+    state.size = proposal
+    return 1.0
 
 
 def update_mean_sizes(
@@ -234,7 +244,7 @@ def update_mean_sizes(
     with np.errstate(divide="ignore"):
         accept = np.log(rng.random(state.max_bugs)) < log_ratio
     state.mean_size = np.where(accept, proposal, cur)
-    return float(accept.mean())
+    return float(np.count_nonzero(accept) / state.max_bugs)
 
 
 def _resolve_track(track: tuple[int, ...] | None, max_bugs: int) -> tuple[int, ...]:
@@ -293,15 +303,21 @@ def run_chain(
         raise ValueError("no testing effort: every cell has zero test cases")
 
     state = _initial_state(campaign, model_config, sampler_config, rng)
-    track = _resolve_track(sampler_config.track, m)
+    track = np.array(_resolve_track(sampler_config.track, m), dtype=np.intp)
     burn_in = sampler_config.effective_burn_in
     kept = sampler_config.kept_per_chain
+    thin = sampler_config.thin
+    use_likelihood = sampler_config.use_likelihood
+    update_means = sampler_config.fixed_mean_size is None
+    undetected = np.flatnonzero(~state.detected)
 
     names = ["inclusion_prob", "total_bugs", "remaining_size"]
     names += [f"include[{i}]" for i in track]
     names += [f"size[{i}]" for i in track]
     names += [f"mean_size[{i}]" for i in track]
-    draws = {name: np.empty(kept) for name in names}
+    # one row per recorded quantity; the tracked candidates fill three row blocks
+    table = np.empty((len(names), kept))
+    tracked_include, tracked_size, tracked_mean = np.split(table[3:], 3)
     kept_iters = np.empty(kept, dtype=np.int64)
     candidate_draws = None
     if sampler_config.keep_candidate_draws:
@@ -313,22 +329,19 @@ def run_chain(
     accept_mean = 0.0
     out = 0
     for it in range(sampler_config.iterations):
-        update_inclusion(state, campaign, model_config, rng, sampler_config.use_likelihood)
+        update_inclusion(state, campaign, model_config, rng, use_likelihood)
         state.inclusion_prob = draw_inclusion_prob(state.total_bugs, m, rng)
-        accept_size += update_sizes(
-            state, campaign, model_config, rng, sampler_config.use_likelihood
-        )
-        if sampler_config.fixed_mean_size is None:
+        accept_size += update_sizes(state, campaign, model_config, rng, use_likelihood)
+        if update_means:
             accept_mean += update_mean_sizes(state, model_config, rng)
-        if it >= burn_in and (it - burn_in) % sampler_config.thin == 0:
+        if it >= burn_in and (it - burn_in) % thin == 0:
             kept_iters[out] = it
-            draws["inclusion_prob"][out] = state.inclusion_prob
-            draws["total_bugs"][out] = state.total_bugs
-            draws["remaining_size"][out] = state.size[state.include & ~state.detected].sum()
-            for i in track:
-                draws[f"include[{i}]"][out] = state.include[i]
-                draws[f"size[{i}]"][out] = state.size[i]
-                draws[f"mean_size[{i}]"][out] = state.mean_size[i]
+            table[0, out] = state.inclusion_prob
+            table[1, out] = state.total_bugs
+            table[2, out] = np.dot(state.size[undetected], state.include[undetected])
+            tracked_include[:, out] = state.include[track]
+            tracked_size[:, out] = state.size[track]
+            tracked_mean[:, out] = state.mean_size[track]
             if candidate_draws is not None:
                 candidate_draws["include"][out] = state.include
                 candidate_draws["size"][out] = state.size
@@ -337,13 +350,13 @@ def run_chain(
 
     total = float(sampler_config.iterations)
     acceptance = {"size": accept_size / total}
-    if sampler_config.fixed_mean_size is None:
+    if update_means:
         acceptance["mean_size"] = accept_mean / total
     return ChainDraws(
         chain=chain_index,
         seed_key=f"{sampler_config.seed}:{chain_index}",
         iterations=kept_iters,
-        draws=draws,
+        draws=dict(zip(names, table)),
         acceptance=acceptance,
         candidate_draws=candidate_draws,
     )

@@ -147,6 +147,17 @@ def test_reliability_single_and_unsorted(tmp_path, capsys):
     assert "strictly increasing" in capsys.readouterr().err
 
 
+def test_reliability_rejects_nan_threshold(tmp_path, capsys):
+    _, out = run_fit(tmp_path, small_campaign_file(tmp_path))
+    capsys.readouterr()
+    for grid in ("nan,100", "100,nan"):
+        where = tmp_path / grid.replace(",", "_")
+        assert main(["reliability", str(out / "draws.csv"), "--epsilon", grid,
+                     "--out", str(where)]) == 1
+        assert "nan" in capsys.readouterr().err
+        assert not (where / "reliability.csv").exists()
+
+
 # ----------------------------------------------------------------- diagnose
 
 def test_diagnose_prints_and_exports(tmp_path, capsys):
@@ -204,6 +215,19 @@ def test_diagnose_non_numeric_draw(tmp_path, capsys):
     assert main(["diagnose", str(draws), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"bugsize: error: {draws}:{at + 1}: chain and iteration must be integers" in err
+
+
+def test_reliability_malformed_comment_line(tmp_path, capsys):
+    code, out = run_fit(tmp_path, small_campaign_file(tmp_path))
+    assert code == 0
+    draws = out / "draws.csv"
+    lines = draws.read_text().splitlines()
+    lines[1] = lines[1].replace("burn_in=100", "burn_in=x")
+    draws.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["reliability", str(draws), "--epsilon", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"bugsize: error: {draws}:2: meta field 'burn_in=x' must be an integer" in err
 
 
 def test_usage_error_exits_one(capsys):

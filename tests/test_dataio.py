@@ -188,6 +188,32 @@ def test_read_draws_names_file_and_line_of_malformed_row(tmp_path, small_chainse
     assert str(err.value) == f"{path}:{at + 1}: {message}"
 
 
+@pytest.mark.parametrize(
+    "line, old, new, message",
+    [
+        (1, "burn_in=20", "burn_in=x", "meta field 'burn_in=x' must be an integer"),
+        (1, "chains=3", "chains", "meta field 'chains' must be an integer"),
+        (2, "# chain 0 ", "# chain zero ", "chain id 'zero' must be an integer"),
+        (3, None, "# chain 1 seed=60:1 acceptance size=abc",
+         "acceptance 'size=abc' must be a number"),
+        (4, None, "# chain ", "chain line names no chain"),
+    ],
+    ids=["meta-value", "meta-token", "chain-id", "acceptance", "empty-chain-line"],
+)
+def test_read_draws_names_file_and_line_of_malformed_comment(
+    tmp_path, small_chainset, line, old, new, message
+):
+    _, _, chainset = small_chainset
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    lines = path.read_text().splitlines()
+    lines[line] = new if old is None else lines[line].replace(old, new, 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}:{line + 1}: {message}"
+
+
 # ------------------------------------------------------------ report JSON
 
 def test_report_document_round_trip(tmp_path, small_chainset):

@@ -37,6 +37,21 @@ def test_campaign_rejects_bad_input(t, y):
         TestCampaign(test_cases=t, bugs_detected=y)
 
 
+def test_campaign_keeps_read_only_copies():
+    t = np.array([[5, 0], [2, 3]], dtype=np.int64)
+    y = np.array([[1, 0], [0, 2]], dtype=np.int64)
+    camp = TestCampaign(test_cases=t, bugs_detected=y)
+    for grid in (camp.test_cases, camp.bugs_detected):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 99
+    # the caller's arrays are copied, not aliased, and stay writable
+    t[0, 0] = 500
+    y[1, 1] = 40
+    assert camp.test_cases[0, 0] == 5 and camp.bugs_detected[1, 1] == 2
+    assert camp.t_max == 5 and camp.detected_total == 3
+    assert camp == TestCampaign(test_cases=[[5, 0], [2, 3]], bugs_detected=[[1, 0], [0, 2]])
+
+
 def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(max_bugs=0)

@@ -100,6 +100,18 @@ def test_reliability_curve_single_point_and_errors():
         reliability_at(cs, -1.0)
 
 
+def test_reliability_rejects_nan_thresholds():
+    cs = make_chainset({"remaining_size": np.ones((2, 10)) * 5.0})
+    with pytest.raises(ValueError, match="nan"):
+        reliability_at(cs, float("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        chain_reliability(cs, float("nan"))
+    # NaN compares false, so it would slip past the strictly-increasing check
+    for grid in ([float("nan"), 100.0], [100.0, float("nan")], [float("nan")]):
+        with pytest.raises(ValueError, match="nan"):
+            reliability_curve(cs, grid)
+
+
 def test_reliability_requires_draws():
     cs = make_chainset({"remaining_size": np.ones((2, 10))})
     cs.chains = []

@@ -6,6 +6,7 @@ from bugsize.model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
+    detection_loglik,
     nb_log_pmf,
 )
 from bugsize.sampler import (
@@ -245,6 +246,193 @@ def test_update_mean_sizes_keeps_nb_log_pmf_decisions(dispersion):
     r = dispersion
     closed = (proposal - cur) - (r + s) * np.log((r + proposal) / (r + cur))
     assert np.max(np.abs(closed - ref)) <= 1e-8
+
+
+# ------------------------------------------- sweep against the reference
+
+# The updates as they were written before the sweep evaluated the detection
+# kernel only where needed: every rate computed for all candidates, the full
+# detection log-likelihood (model.detection_loglik) evaluated at both sizes.
+# Kept here as the reference the sweep must reproduce bit for bit.
+
+def ref_rate(size, exponent, t_max):
+    return np.power(np.asarray(size, dtype=float), exponent) / t_max
+
+
+def ref_update_inclusion(state, campaign, config, rng, use_likelihood=True):
+    psi = state.inclusion_prob
+    if use_likelihood:
+        miss = np.exp(-ref_rate(state.size, config.size_exponent, campaign.t_max))
+        weight = psi * miss
+        q = weight / (weight + (1.0 - psi))
+    else:
+        q = np.full(state.max_bugs, psi)
+    free = ~state.detected
+    state.include[free] = rng.random(int(free.sum())) < q[free]
+    return state
+
+
+def ref_update_sizes(state, campaign, config, rng, use_likelihood=True):
+    r = config.dispersion
+    proposal = rng.negative_binomial(r, r / (r + state.mean_size)).astype(np.int64)
+    if use_likelihood:
+        nu, t_max = config.size_exponent, campaign.t_max
+        cur = detection_loglik(state.size, state.include, state.detected, nu, t_max)
+        new = detection_loglik(proposal, state.include, state.detected, nu, t_max)
+        log_ratio = new - cur
+    else:
+        log_ratio = np.zeros(state.max_bugs)
+    with np.errstate(divide="ignore"):
+        accept = np.log(rng.random(state.max_bugs)) < log_ratio
+    state.size = np.where(accept, proposal, state.size)
+    if not state.include.any():
+        return 1.0
+    return float(accept[state.include].mean())
+
+
+def ref_update_mean_sizes(state, config, rng):
+    a, b, r = config.mean_size_shape, config.mean_size_rate, config.dispersion
+    s = state.size.astype(float)
+    proposal = rng.gamma(a + s, 1.0 / (b + 1.0))
+    cur = state.mean_size
+    log_ratio = (proposal - cur) - (r + s) * np.log((r + proposal) / (r + cur))
+    with np.errstate(divide="ignore"):
+        accept = np.log(rng.random(state.max_bugs)) < log_ratio
+    state.mean_size = np.where(accept, proposal, cur)
+    return float(accept.mean())
+
+
+def copy_state(state):
+    return make_state(state.include.copy(), state.size.copy(), state.mean_size.copy(),
+                      state.inclusion_prob, state.detected.copy())
+
+
+def assert_same_bits(state, ref):
+    for key in ("include", "size", "mean_size"):
+        a, b = getattr(state, key), getattr(ref, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+    assert state.inclusion_prob == ref.inclusion_prob
+
+
+def assert_same_acceptance(got, want):
+    # a numpy scalar would print as np.float64(...) in the draws file's chain line
+    assert type(got) is float and got == want
+
+
+def pinned_state(layout, m=10_000, seed=30):
+    rng = np.random.default_rng(seed)
+    if layout == "prefix":
+        detected = np.arange(m) < m // 8
+    else:  # scattered detections: the detected mask is not a prefix
+        detected = rng.random(m) < 0.15
+    include = detected | (rng.random(m) < 0.3)
+    if layout == "all-excluded":
+        detected[:] = False
+        include[:] = False
+    mean_size = rng.gamma(5.0, 10.0, m)
+    # detected candidates whose size mean is tiny are proposed at size 0,
+    # where log(alpha) is -inf and the proposal must be refused
+    tiny = detected & (rng.random(m) < 0.2)
+    mean_size[tiny] = 1e-6
+    size = np.maximum(rng.negative_binomial(5.0, 5.0 / (5.0 + mean_size)), detected)
+    return make_state(include, size, mean_size, rng.random(), detected)
+
+
+@pytest.mark.parametrize(
+    "layout, use_likelihood",
+    [("prefix", True), ("scattered", True), ("all-excluded", True), ("scattered", False)],
+)
+def test_updates_match_reference_bit_for_bit(layout, use_likelihood):
+    camp = TestCampaign(test_cases=[[400, 37]], bugs_detected=[[0, 0]])
+    config = ModelConfig(max_bugs=10_000, size_exponent=1.5, dispersion=5.0)
+    state = pinned_state(layout)
+    ref = copy_state(state)
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    if layout != "all-excluded":
+        # the proposals do put detected candidates at size 0
+        r = config.dispersion
+        probe = np.random.default_rng(31).negative_binomial(r, r / (r + state.mean_size))
+        assert np.any(probe[state.detected] == 0)
+    for _ in range(4):
+        assert_same_acceptance(
+            update_sizes(state, camp, config, rng, use_likelihood),
+            ref_update_sizes(ref, camp, config, ref_rng, use_likelihood),
+        )
+        assert_same_bits(state, ref)
+        update_inclusion(state, camp, config, rng, use_likelihood)
+        ref_update_inclusion(ref, camp, config, ref_rng, use_likelihood)
+        assert_same_bits(state, ref)
+        state.inclusion_prob = draw_inclusion_prob(state.total_bugs, state.max_bugs, rng)
+        ref.inclusion_prob = draw_inclusion_prob(ref.total_bugs, ref.max_bugs, ref_rng)
+        assert_same_acceptance(
+            update_mean_sizes(state, config, rng), ref_update_mean_sizes(ref, config, ref_rng)
+        )
+        assert_same_bits(state, ref)
+
+
+def test_updates_follow_state_assigned_between_them():
+    camp = TestCampaign(test_cases=[[90, 250]], bugs_detected=[[0, 0]])
+    config = ModelConfig(max_bugs=2_000, size_exponent=1.5)
+    state = pinned_state("scattered", m=2_000, seed=33)
+    ref = copy_state(state)
+    rng, ref_rng = np.random.default_rng(34), np.random.default_rng(34)
+    assert_same_acceptance(update_sizes(state, camp, config, rng),
+                           ref_update_sizes(ref, camp, config, ref_rng))
+    # sizes reassigned between updates: the next updates see them
+    fresh = np.maximum(np.random.default_rng(35).integers(0, 300, state.max_bugs), state.detected)
+    state.size, ref.size = fresh, fresh.copy()
+    update_inclusion(state, camp, config, rng)
+    ref_update_inclusion(ref, camp, config, ref_rng)
+    assert_same_bits(state, ref)
+    assert_same_acceptance(update_sizes(state, camp, config, rng),
+                           ref_update_sizes(ref, camp, config, ref_rng))
+    assert_same_bits(state, ref)
+    # so does a new detected mask
+    moved = np.random.default_rng(37).random(state.max_bugs) < 0.4
+    state.detected, ref.detected = moved, moved.copy()
+    # a detected candidate is included and has a size of at least 1
+    for st in (state, ref):
+        st.include |= moved
+        st.size = np.maximum(st.size, moved)
+    update_inclusion(state, camp, config, rng)
+    ref_update_inclusion(ref, camp, config, ref_rng)
+    assert_same_bits(state, ref)
+    assert_same_acceptance(update_sizes(state, camp, config, rng),
+                           ref_update_sizes(ref, camp, config, ref_rng))
+    assert_same_bits(state, ref)
+
+
+def test_run_chain_matches_reference_updates(monkeypatch):
+    # run_chain looks its updates up by name, so the reference can stand in
+    camp = TestCampaign(test_cases=[[40, 9, 70], [12, 55, 3]],
+                        bugs_detected=[[4, 1, 2], [0, 3, 0]])
+    config = ModelConfig(max_bugs=300)
+    scfg = SamplerConfig(iterations=300, burn_in=100, thin=2, keep_candidate_draws=True,
+                         track=(0, 5, 17, 299))
+    got = run_chain(camp, config, scfg, 1, np.random.default_rng(36))
+    from bugsize import sampler
+
+    monkeypatch.setattr(sampler, "update_inclusion", ref_update_inclusion)
+    monkeypatch.setattr(sampler, "update_sizes", ref_update_sizes)
+    monkeypatch.setattr(sampler, "update_mean_sizes", ref_update_mean_sizes)
+    want = run_chain(camp, config, scfg, 1, np.random.default_rng(36))
+    assert list(got.draws) == list(want.draws)
+    for name in want.draws:
+        assert got.draws[name].tobytes() == want.draws[name].tobytes(), name
+    for key in ("include", "size", "mean_size"):
+        assert got.candidate_draws[key].tobytes() == want.candidate_draws[key].tobytes()
+    assert got.iterations.tobytes() == want.iterations.tobytes()
+    assert got.acceptance == want.acceptance
+    assert all(type(v) is float for v in got.acceptance.values())
+    # the recorded scalars and tracked columns are those of the kept states
+    kept = got.candidate_draws
+    hidden = np.arange(config.max_bugs) >= camp.detected_total
+    assert np.array_equal(got.draws["total_bugs"], kept["include"].sum(axis=1))
+    remaining = (kept["size"] * kept["include"])[:, hidden].sum(axis=1)
+    assert np.array_equal(got.draws["remaining_size"], remaining)
+    for i in scfg.track:
+        for key in ("include", "size", "mean_size"):
+            assert got.draws[f"{key}[{i}]"].tobytes() == kept[key][:, i].tobytes()
 
 
 # -------------------------------------------------------------- run_chain
