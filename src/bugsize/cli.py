@@ -65,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-bugs", type=int, default=400)
     fit.add_argument("--dispersion", type=float, default=50.0)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--threads", type=int, default=1,
-                     help="max worker processes (one chain each)")
+    fit.add_argument("--threads", type=int, default=None,
+                     help="max worker processes, one chain each (default: one per "
+                          "chain, up to the usable CPUs; 1 runs the chains serially)")
     fit.add_argument("--rhat-warn", type=float, default=1.1)
     fit.add_argument("--strict", action="store_true",
                      help="treat a convergence warning as a soft failure (exit 2)")
@@ -129,6 +130,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _fit_workers(threads: int | None, chains: int) -> int:
+    """Worker processes for ``fit``: ``--threads`` if given, else one per chain,
+    up to the CPUs this process may run on."""
+    if threads is not None:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(chains, cpus)
+
+
 def cmd_fit(args) -> int:
     out = Path(args.out if args.out is not None else _default_out())
     out.mkdir(parents=True, exist_ok=True)
@@ -142,7 +155,7 @@ def cmd_fit(args) -> int:
         burn_in=args.burn_in,
         thin=args.thin,
         seed=args.seed,
-        workers=args.threads,
+        workers=_fit_workers(args.threads, args.chains),
     )
     chainset = run_all(campaign, model_config, sampler_config)
     report = diagnostics.summarize(chainset)

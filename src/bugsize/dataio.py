@@ -120,13 +120,15 @@ def write_draws(chainset: ChainSet, path) -> None:
         f"burn_in={chainset.burn_in} thin={chainset.thin} base_seed={chainset.base_seed}"
     )
     for chain in chainset.chains:
-        acc = " ".join(f"{k}={repr(v)}" for k, v in chain.acceptance.items())
+        acc = " ".join(f"{k}={repr(float(v))}" for k, v in chain.acceptance.items())
         lines.append(f"# chain {chain.chain} seed={chain.seed_key} acceptance {acc}".rstrip())
     lines.append("chain,iteration,parameter,value")
     for chain in chainset.chains:
+        heads = [f"{chain.chain},{it}," for it in chain.iterations.tolist()]
         for name, values in chain.draws.items():
-            for it, value in zip(chain.iterations, values):
-                lines.append(f"{chain.chain},{it},{name},{repr(float(value))}")
+            # Python floats, so repr writes the shortest round-tripping digits
+            values = np.asarray(values, dtype=float).tolist()
+            lines.extend([f"{head}{name},{v!r}" for head, v in zip(heads, values)])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -177,17 +179,23 @@ def read_draws(path) -> ChainSet:
     if header_at is None or lines[header_at] != "chain,iteration,parameter,value":
         raise ValueError(f"{path}: missing draw header row")
 
-    per_chain: dict[int, dict[str, list[float]]] = {}
-    per_chain_iters: dict[int, dict[str, list[int]]] = {}
+    # chain id -> parameter -> (iterations, values), in order of first appearance
+    per_chain: dict[int, dict[str, tuple[list[int], list[float]]]] = {}
+    run_chain = run_name = None
     # one try around the whole loop: a well-formed file pays nothing per row
     try:
         for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
             if not line:
                 continue
             chain_s, it_s, name, value_s = line.split(",", 3)
-            chain_id = int(chain_s)
-            per_chain.setdefault(chain_id, {}).setdefault(name, []).append(float(value_s))
-            per_chain_iters.setdefault(chain_id, {}).setdefault(name, []).append(int(it_s))
+            # rows come in runs sharing (chain, parameter); look the run up once
+            if name != run_name or chain_s != run_chain:
+                iters, values = per_chain.setdefault(int(chain_s), {}).setdefault(
+                    name, ([], [])
+                )
+                run_chain, run_name = chain_s, name
+            values.append(float(value_s))
+            iters.append(int(it_s))
     except ValueError:
         fields = line.count(",") + 1
         if fields < 4:
@@ -202,10 +210,10 @@ def read_draws(path) -> ChainSet:
 
     chains = []
     for chain_id in sorted(per_chain):
-        draws = {name: np.array(vals) for name, vals in per_chain[chain_id].items()}
-        iter_lists = per_chain_iters[chain_id]
-        first = next(iter(iter_lists.values()))
-        for name, iters in iter_lists.items():
+        columns = per_chain[chain_id]
+        draws = {name: np.array(vals) for name, (_, vals) in columns.items()}
+        first = next(iter(columns.values()))[0]
+        for iters, _ in columns.values():
             if iters != first:
                 raise ValueError(f"{path}: chain {chain_id} iteration grids disagree")
         info = chain_meta.get(chain_id, {"seed_key": "", "acceptance": {}})

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -368,6 +369,16 @@ def _run_chain_job(args) -> ChainDraws:
     return run_chain(campaign, model_config, sampler_config, chain_index, rng)
 
 
+def _chain_result(chain_index: int, get) -> ChainDraws:
+    """Call ``get`` for one chain's draws; name the chain in any non-input error."""
+    try:
+        return get()
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"chain {chain_index} failed: {exc}") from exc
+
+
 def run_all(
     campaign: TestCampaign,
     model_config: ModelConfig,
@@ -378,7 +389,9 @@ def run_all(
     Per-chain generators are spawned from the base seed, so reruns with the
     same seed are bit-identical while chains stay statistically independent.
     Chains run concurrently when ``workers > 1``; results are assembled in
-    chain order either way.
+    chain order either way, and a failing chain raises the same error as it
+    would serially: a ``ValueError`` unchanged, anything else as a
+    ``RuntimeError`` naming the first failed chain in chain order.
     """
     if model_config.max_bugs < campaign.detected_total:
         raise ValueError(
@@ -392,28 +405,24 @@ def run_all(
     jobs = [
         (campaign, model_config, sampler_config, i, seq) for i, seq in enumerate(seqs)
     ]
-    results: list[ChainDraws | None] = [None] * sampler_config.chains
     if sampler_config.workers > 1 and sampler_config.chains > 1:
-        with concurrent.futures.ProcessPoolExecutor(
+        # The platform's default start method is kept on purpose (fork on
+        # Linux; the CLI has no Python threads when it forks).  A spawn pool
+        # re-imports numpy and bugsize in every worker, and was slower than
+        # the serial path on a 2,000-iteration fit of the bundled campaign.
+        pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(sampler_config.workers, sampler_config.chains)
-        ) as pool:
-            futures = {pool.submit(_run_chain_job, job): job[3] for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                idx = futures[fut]
-                try:
-                    results[idx] = fut.result()
-                except Exception as exc:
-                    raise RuntimeError(f"chain {idx} failed: {exc}") from exc
+        )
+        try:
+            futures = [pool.submit(_run_chain_job, job) for job in jobs]
+            chains = [_chain_result(i, fut.result) for i, fut in enumerate(futures)]
+        finally:
+            # after a failure, chains not yet handed to a worker never run
+            pool.shutdown(cancel_futures=True)
     else:
-        for job in jobs:
-            try:
-                results[job[3]] = _run_chain_job(job)
-            except ValueError:
-                raise
-            except Exception as exc:
-                raise RuntimeError(f"chain {job[3]} failed: {exc}") from exc
+        chains = [_chain_result(job[3], partial(_run_chain_job, job)) for job in jobs]
     return ChainSet(
-        chains=[c for c in results if c is not None],
+        chains=chains,
         base_seed=sampler_config.seed,
         iterations=sampler_config.iterations,
         burn_in=sampler_config.effective_burn_in,

@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import bugsize
+import pytest
+from bugsize import cli
 from bugsize.cli import main
 from bugsize.dataio import read_campaign, write_campaign
 from bugsize.model import TestCampaign
@@ -119,6 +122,40 @@ def test_fit_deterministic_files(tmp_path):
     _, out2 = run_fit(tmp_path, campaign_path, "d2")
     assert (out1 / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cpus, extra, workers",
+    [(1, (), 1), (64, (), 3), (None, (), 1), (64, ("--threads", "2"), 2),
+     (64, ("--threads", "1"), 1)],
+    ids=["one-cpu", "64-cpus", "no-cpu-count", "threads-2", "threads-1"],
+)
+def test_fit_default_workers_one_per_chain_up_to_usable_cpus(
+    tmp_path, monkeypatch, cpus, extra, workers
+):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    seen = []
+    real_run_all = cli.run_all
+
+    def record_then_run_serially(campaign, model_config, sampler_config):
+        seen.append(sampler_config.workers)
+        return real_run_all(campaign, model_config, replace(sampler_config, workers=1))
+
+    monkeypatch.setattr(cli, "run_all", record_then_run_serially)
+    code, _ = run_fit(tmp_path, small_campaign_file(tmp_path), extra=extra)
+    assert code == 0 and seen == [workers]
+
+
+def test_fit_default_matches_serial_files(tmp_path):
+    campaign_path = small_campaign_file(tmp_path)
+    _, default = run_fit(tmp_path, campaign_path, "default")
+    _, serial = run_fit(tmp_path, campaign_path, "serial", extra=("--threads", "1"))
+    for name in ("draws.csv", "report.json"):
+        assert (default / name).read_bytes() == (serial / name).read_bytes()
 
 
 # -------------------------------------------------------------- reliability

@@ -111,6 +111,40 @@ def test_draws_round_trip(tmp_path, small_chainset):
             assert np.array_equal(parsed.draws[name], original.draws[name])
 
 
+def test_draws_round_trip_numpy_scalar_acceptance(tmp_path, small_chainset):
+    _, _, chainset = small_chainset
+    for chain in chainset.chains:
+        chain.acceptance = {k: np.float64(v) for k, v in chain.acceptance.items()}
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    assert "np.float64" not in path.read_text()
+    loaded = read_draws(path)
+    for original, parsed in zip(chainset.chains, loaded.chains):
+        assert parsed.acceptance == original.acceptance
+        assert all(type(v) is float for v in parsed.acceptance.values())
+
+
+def test_read_draws_interleaved_rows_match_blocked(tmp_path, small_chainset):
+    _, _, chainset = small_chainset
+    blocked = tmp_path / "blocked.csv"
+    write_draws(chainset, blocked)
+    lines = blocked.read_text().splitlines()
+    at = lines.index("chain,iteration,parameter,value") + 1
+    # one row per (iteration, chain, parameter): every row starts a new run
+    rows = sorted(lines[at:], key=lambda row: (int(row.split(",")[1]), int(row.split(",")[0])))
+    interleaved = tmp_path / "interleaved.csv"
+    interleaved.write_text("\n".join(lines[:at] + rows) + "\n")
+    assert rows[:2] != lines[at:at + 2]
+    expected, loaded = read_draws(blocked), read_draws(interleaved)
+    assert loaded.parameters() == expected.parameters()
+    for want, got in zip(expected.chains, loaded.chains):
+        assert got.chain == want.chain and got.acceptance == want.acceptance
+        assert np.array_equal(got.iterations, want.iterations)
+        assert list(got.draws) == list(want.draws)
+        for name in want.draws:
+            assert np.array_equal(got.draws[name], want.draws[name])
+
+
 def test_draws_row_count(tmp_path, small_chainset):
     _, _, chainset = small_chainset
     path = tmp_path / "draws.csv"

@@ -1,7 +1,11 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from bugsize import sampler
 from bugsize.model import (
     AugmentedState,
     ModelConfig,
@@ -540,6 +544,60 @@ def test_run_all_parallel_matches_serial():
     for c1, c2 in zip(serial.chains, parallel.chains):
         for name in c1.draws:
             assert np.array_equal(c1.draws[name], c2.draws[name])
+
+
+def test_run_all_pool_raises_the_serial_input_error():
+    camp = single_cell_campaign()
+    config = ModelConfig(max_bugs=6)
+    errors = []
+    for workers in (1, 2):
+        scfg = SamplerConfig(chains=2, iterations=10, track=(99,), workers=workers)
+        with pytest.raises(Exception) as err:
+            run_all(camp, config, scfg)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0] == (ValueError, "tracked candidate index 99 out of range for max_bugs=6")
+
+
+# workers see a monkeypatched run_chain only when forked from this process
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
+)
+
+
+@needs_fork
+def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
+    def broken_chain(campaign, model_config, sampler_config, chain_index, rng):
+        if chain_index == 0:
+            time.sleep(0.3)  # chain 1 fails first
+        raise ArithmeticError(f"broke in chain {chain_index}")
+
+    monkeypatch.setattr(sampler, "run_chain", broken_chain)
+    camp = single_cell_campaign()
+    for workers in (1, 2):
+        scfg = SamplerConfig(chains=2, iterations=10, workers=workers)
+        with pytest.raises(RuntimeError) as err:
+            run_all(camp, ModelConfig(max_bugs=6), scfg)
+        assert str(err.value) == "chain 0 failed: broke in chain 0"
+
+
+@needs_fork
+def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path):
+    def chain_or_fail(campaign, model_config, sampler_config, chain_index, rng):
+        (tmp_path / f"started-{chain_index}").touch()
+        if chain_index == 0:
+            raise ArithmeticError("broke in chain 0")
+        time.sleep(0.5)
+
+    monkeypatch.setattr(sampler, "run_chain", chain_or_fail)
+    # when chain 0 fails, the two workers are busy with chains 1 and 2 and
+    # the pool has handed at most three more to its call queue; the rest are
+    # still queued and must never start
+    scfg = SamplerConfig(chains=10, iterations=10, workers=2)
+    with pytest.raises(RuntimeError, match="chain 0 failed"):
+        run_all(single_cell_campaign(), ModelConfig(max_bugs=6), scfg)
+    started = sorted(int(p.name.split("-")[1]) for p in tmp_path.glob("started-*"))
+    assert started[-1] <= 5, started
 
 
 def test_run_all_rejects_low_ceiling():
