@@ -6,31 +6,23 @@ sharper in size, so almost every real bug is caught and the bug count
 pins itself to the detected count.
 """
 
-from bugsize import replicate_study
+import numpy as np
 
-results = replicate_study(
-    [1.0, 1.25, 1.5],
-    seeds=99,
-    missions=30,
-    phases=8,
-    true_bugs=100,
-    max_bugs=400,
-    t_range=(0, 50),
-    chains=3,
-    iterations=3000,
-)
+from bugsize import ModelConfig, SamplerConfig, generate_campaign, run_all, summarize
 
 print(f"{'nu':>5} {'detected':>9} {'post N':>9} {'post psi':>9} "
       f"{'Rhat N':>7} {'true R':>7}")
-for r in results:
-    print(f"{r.size_exponent:5.2f} {r.detected:9d} {r.posterior_mean_bugs:9.3f} "
-          f"{r.posterior_mean_inclusion:9.4f} {r.rhat_bugs:7.3f} "
-          f"{r.true_remaining_size:7d}")
+for nu, seed in zip([1.0, 1.25, 1.5], [99, 100, 101]):
+    config = ModelConfig(max_bugs=400, size_exponent=nu, dispersion=50.0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    campaign, truth = generate_campaign(config, 30, 8, 100, (0, 50), rng)
+    report = summarize(run_all(campaign, config, SamplerConfig(iterations=3000, seed=seed)))
+    print(f"{nu:5.2f} {campaign.detected_total:9d} {report['total_bugs'].pooled_mean:9.3f} "
+          f"{report['inclusion_prob'].pooled_mean:9.4f} {report['total_bugs'].rhat:7.3f} "
+          f"{truth.remaining_size:7d}")
 
 print()
 print("tracked per-bug posteriors for the last setting (prior mean is 100):")
-last = results[-1]
-for name, value in sorted(last.tracked_mean_size_means.items()):
-    print(f"  {name:<16} {value:8.3f}")
-for name, value in sorted(last.tracked_size_means.items()):
-    print(f"  {name:<16} {value:8.3f}")
+for prefix in ("mean_size[", "size["):
+    for name in sorted(p for p in report.parameters if p.startswith(prefix)):
+        print(f"  {name:<16} {report[name].pooled_mean:8.3f}")

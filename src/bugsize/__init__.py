@@ -32,12 +32,7 @@ from .model import (
     detection_prob,
     nb_log_pmf,
 )
-from .reliability import (
-    chain_reliability,
-    reliability_at,
-    reliability_curve,
-    remaining_size,
-)
+from .reliability import chain_reliability, reliability_at, reliability_curve
 from .sampler import (
     ChainDraws,
     ChainSet,
@@ -49,7 +44,7 @@ from .sampler import (
     update_mean_sizes,
     update_sizes,
 )
-from .simulate import GroundTruth, StudyResult, generate_campaign, replicate_study
+from .simulate import GroundTruth, generate_campaign
 
 __version__ = "0.1.0"
 
@@ -61,7 +56,6 @@ __all__ = [
     "ModelConfig",
     "PosteriorReport",
     "SamplerConfig",
-    "StudyResult",
     "TestCampaign",
     "build_report",
     "cell_probabilities",
@@ -76,8 +70,6 @@ __all__ = [
     "read_draws",
     "reliability_at",
     "reliability_curve",
-    "remaining_size",
-    "replicate_study",
     "run_all",
     "run_chain",
     "split_rhat",

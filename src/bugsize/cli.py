@@ -34,8 +34,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _default_out() -> str:
-    return os.environ.get("BUGSIZE_OUT_DIR", ".")
+def _out_dir(args) -> Path:
+    """``--out``, else $BUGSIZE_OUT_DIR, else the current directory; created if missing."""
+    out = Path(args.out if args.out is not None else os.environ.get("BUGSIZE_OUT_DIR", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out if args.out is not None else _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     config = ModelConfig(
         max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion
     )
@@ -143,8 +145,7 @@ def _fit_workers(threads: int | None, chains: int) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = Path(args.out if args.out is not None else _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     campaign = dataio.read_campaign(args.campaign)
     model_config = ModelConfig(
         max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion
@@ -197,8 +198,7 @@ def _parse_epsilons(raw: str) -> list[float]:
 
 
 def cmd_reliability(args) -> int:
-    out = Path(args.out if args.out is not None else _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     chainset = dataio.read_draws(args.draws)
     curve = reliability.reliability_curve(chainset, _parse_epsilons(args.epsilon))
     dataio.write_reliability_curve(curve, out / "reliability.csv")
@@ -210,8 +210,7 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    out = Path(args.out if args.out is not None else _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     chainset = dataio.read_draws(args.draws)
     if chainset.n_chains < 2:
         raise ValueError("need >=2 chains for convergence diagnostics")

@@ -92,17 +92,13 @@ def read_campaign(path) -> TestCampaign:
     return TestCampaign(test_cases=t_matrix, bugs_detected=y_matrix)
 
 
-def write_campaign(campaign: TestCampaign, path, mission_labels=None) -> None:
-    """Write a campaign as long-form CSV (phases numbered from 1)."""
-    if mission_labels is None:
-        mission_labels = [f"M{j + 1}" for j in range(campaign.missions)]
-    if len(mission_labels) != campaign.missions:
-        raise ValueError("one mission label per mission required")
+def write_campaign(campaign: TestCampaign, path) -> None:
+    """Write a campaign as long-form CSV (missions M1, M2, ...; phases from 1)."""
     lines = [",".join(CAMPAIGN_FIELDS)]
-    for j, label in enumerate(mission_labels):
+    for j in range(campaign.missions):
         for k in range(campaign.phases):
             lines.append(
-                f"{label},{k + 1},{campaign.test_cases[j, k]},{campaign.bugs_detected[j, k]}"
+                f"M{j + 1},{k + 1},{campaign.test_cases[j, k]},{campaign.bugs_detected[j, k]}"
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

@@ -28,6 +28,10 @@ __all__ = [
 # antithetic chains can legitimately exceed the draw count, but unbounded
 # estimates are sampling artifacts.
 ESS_CAP_FACTOR = 2.0
+# Mass of the equal-tailed credible intervals, and the one-sided level of
+# split R-hat's upper bound.
+CREDIBLE_MASS = 0.95
+RHAT_CONFIDENCE = 0.975
 
 
 def _as_chain_matrix(chains, min_len: int) -> np.ndarray:
@@ -46,7 +50,7 @@ def _as_chain_matrix(chains, min_len: int) -> np.ndarray:
     return x
 
 
-def split_rhat(chains, confidence: float = 0.975) -> tuple[float, float]:
+def split_rhat(chains) -> tuple[float, float]:
     """Split potential scale reduction factor and its upper confidence bound.
 
     Each chain is halved (dropping the middle draw of odd-length chains) and
@@ -56,7 +60,7 @@ def split_rhat(chains, confidence: float = 0.975) -> tuple[float, float]:
     the chains have mixed.  Sampling noise can push the raw ratio a hair
     below 1, so the estimate is floored at 1.  The upper bound scales the
     between/within ratio by an F quantile (degrees of freedom from a
-    moment-matched within-variance estimate).
+    moment-matched within-variance estimate) at level ``RHAT_CONFIDENCE``.
 
     Returns
     -------
@@ -86,10 +90,10 @@ def split_rhat(chains, confidence: float = 0.975) -> tuple[float, float]:
     n_seq = seqs.shape[0]
     var_w = float(variances.var(ddof=1)) / n_seq
     if var_w == 0.0:
-        f_quantile = float(2.0 * special.gammaincinv((n_seq - 1) / 2, confidence)) / (n_seq - 1)
+        f_quantile = float(2.0 * special.gammaincinv((n_seq - 1) / 2, RHAT_CONFIDENCE)) / (n_seq - 1)
     else:
         df_w = 2.0 * w * w / var_w
-        f_quantile = float(special.fdtri(n_seq - 1, df_w, confidence))
+        f_quantile = float(special.fdtri(n_seq - 1, df_w, RHAT_CONFIDENCE))
     upper = float(np.sqrt((n - 1) / n + f_quantile * ratio))
     return rhat, max(upper, rhat)
 
@@ -175,7 +179,7 @@ def _coefficient_of_variation(mean: float, sd: float) -> float:
     return 0.0 if sd == 0.0 else float("nan")
 
 
-def summarize(chainset: ChainSet, credible_mass: float = 0.95) -> PosteriorReport:
+def summarize(chainset: ChainSet) -> PosteriorReport:
     """Posterior summary table over all tracked parameters.
 
     Per chain: mean, standard deviation and coefficient of variation (in
@@ -186,9 +190,7 @@ def summarize(chainset: ChainSet, credible_mass: float = 0.95) -> PosteriorRepor
     """
     if chainset.n_chains == 0 or chainset.kept_per_chain == 0:
         raise ValueError("no kept draws to summarize")
-    if not 0.0 < credible_mass < 1.0:
-        raise ValueError("credible_mass must lie in (0, 1)")
-    tail = round((1.0 - credible_mass) / 2.0, 12)
+    tail = round((1.0 - CREDIBLE_MASS) / 2.0, 12)
     summaries: dict[str, ParameterSummary] = {}
     for name in chainset.parameters():
         x = chainset.matrix(name)
@@ -220,7 +222,7 @@ def summarize(chainset: ChainSet, credible_mass: float = 0.95) -> PosteriorRepor
         )
     return PosteriorReport(
         parameters=summaries,
-        credible_mass=credible_mass,
+        credible_mass=CREDIBLE_MASS,
         n_chains=chainset.n_chains,
         kept_per_chain=chainset.kept_per_chain,
     )

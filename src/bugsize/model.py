@@ -118,12 +118,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.max_bugs < 1:
             raise ValueError("max_bugs must be a positive integer")
-        if self.size_exponent <= 0:
-            raise ValueError("size_exponent must be positive")
-        if self.mean_size_shape <= 0 or self.mean_size_rate <= 0:
-            raise ValueError("gamma prior hyperparameters must be positive")
-        if self.dispersion <= 0:
-            raise ValueError("dispersion must be positive")
+        for name in ("size_exponent", "mean_size_shape", "mean_size_rate", "dispersion"):
+            value = getattr(self, name)
+            # NaN fails both comparisons, so it is rejected along with inf and <= 0
+            if not 0.0 < value < float("inf"):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

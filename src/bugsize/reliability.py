@@ -2,33 +2,18 @@
 
 The remaining size of a sampler state is the total eventual size of
 candidates that are included but were never detected: the testing debt the
-campaign did not surface.  Release reliability at a threshold is the
-posterior probability that this remaining size stays below the threshold.
+campaign did not surface; the sampler records it with every kept draw.
+Release reliability at a threshold is the posterior probability that this
+remaining size stays below the threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import AugmentedState
 from .sampler import ChainSet
 
-__all__ = [
-    "remaining_size",
-    "reliability_at",
-    "chain_reliability",
-    "reliability_curve",
-]
-
-
-def remaining_size(state: AugmentedState) -> int:
-    """Total eventual size of included-but-undetected candidates.
-
-    Equivalent to the total size of all included candidates minus the total
-    size of the detected ones, since detected candidates are always
-    included.  Zero whenever every included candidate was detected.
-    """
-    return int(state.size[state.include & ~state.detected].sum())
+__all__ = ["reliability_at", "chain_reliability", "reliability_curve"]
 
 
 def _remaining_draws(chainset: ChainSet) -> np.ndarray:

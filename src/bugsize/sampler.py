@@ -363,16 +363,17 @@ def run_chain(
     )
 
 
-def _run_chain_job(args) -> ChainDraws:
-    campaign, model_config, sampler_config, chain_index, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
-    return run_chain(campaign, model_config, sampler_config, chain_index, rng)
-
-
-def _chain_result(chain_index: int, get) -> ChainDraws:
-    """Call ``get`` for one chain's draws; name the chain in any non-input error."""
+def _run_chain_job(
+    campaign: TestCampaign,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    chain_index: int,
+    seed_seq: np.random.SeedSequence,
+) -> ChainDraws:
+    """Run one chain from its seed; name the chain in any error but an input error."""
     try:
-        return get()
+        rng = np.random.default_rng(seed_seq)
+        return run_chain(campaign, model_config, sampler_config, chain_index, rng)
     except ValueError:
         raise
     except Exception as exc:
@@ -393,34 +394,23 @@ def run_all(
     would serially: a ``ValueError`` unchanged, anything else as a
     ``RuntimeError`` naming the first failed chain in chain order.
     """
-    if model_config.max_bugs < campaign.detected_total:
-        raise ValueError(
-            f"candidate ceiling {model_config.max_bugs} below detected count "
-            f"{campaign.detected_total}"
-        )
-    if campaign.t_max < 1:
-        raise ValueError("no testing effort: every cell has zero test cases")
-
-    seqs = np.random.SeedSequence(sampler_config.seed).spawn(sampler_config.chains)
-    jobs = [
-        (campaign, model_config, sampler_config, i, seq) for i, seq in enumerate(seqs)
-    ]
-    if sampler_config.workers > 1 and sampler_config.chains > 1:
+    n = sampler_config.chains
+    seqs = np.random.SeedSequence(sampler_config.seed).spawn(n)
+    job = partial(_run_chain_job, campaign, model_config, sampler_config)
+    if sampler_config.workers > 1 and n > 1:
         # The platform's default start method is kept on purpose (fork on
         # Linux; the CLI has no Python threads when it forks).  A spawn pool
         # re-imports numpy and bugsize in every worker, and was slower than
         # the serial path on a 2,000-iteration fit of the bundled campaign.
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(sampler_config.workers, sampler_config.chains)
-        )
-        try:
-            futures = [pool.submit(_run_chain_job, job) for job in jobs]
-            chains = [_chain_result(i, fut.result) for i, fut in enumerate(futures)]
-        finally:
-            # after a failure, chains not yet handed to a worker never run
-            pool.shutdown(cancel_futures=True)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(sampler_config.workers, n)
+        ) as pool:
+            # map yields in chain order; after a failure it cancels the chains
+            # not yet started, except the up to workers + 1 that the pool has
+            # already moved to its call queue, which still run
+            chains = list(pool.map(job, range(n), seqs))
     else:
-        chains = [_chain_result(job[3], partial(_run_chain_job, job)) for job in jobs]
+        chains = list(map(job, range(n), seqs))
     return ChainSet(
         chains=chains,
         base_seed=sampler_config.seed,

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig, TestCampaign, cell_probabilities, detection_prob
-from .sampler import SamplerConfig, run_all
 
-__all__ = ["GroundTruth", "StudyResult", "generate_campaign", "replicate_study"]
+__all__ = ["GroundTruth", "generate_campaign"]
 
 _MAX_REGENERATION_ATTEMPTS = 100
 
@@ -73,6 +72,8 @@ def generate_campaign(
     prior, one detection trial with the size-driven kernel, and, if
     detected, a cell from the normalized cell probabilities.
     """
+    if missions < 1 or phases < 1:
+        raise ValueError(f"need missions >= 1 and phases >= 1, got {missions} x {phases}")
     if true_bugs < 0:
         raise ValueError("true_bugs must be non-negative")
     if true_bugs > model_config.max_bugs:
@@ -119,93 +120,3 @@ def generate_campaign(
         max_bugs=model_config.max_bugs, size=size, mean_size=mean_size, cell=cell
     )
     return campaign, truth
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    """Recovery metrics for one decay-exponent setting."""
-
-    size_exponent: float
-    seed: int
-    true_bugs: int
-    detected: int
-    true_remaining_size: int
-    posterior_mean_bugs: float
-    posterior_mean_inclusion: float
-    rhat_bugs: float
-    rhat_inclusion: float
-    tracked_size_means: dict[str, float]
-    tracked_mean_size_means: dict[str, float]
-
-
-def replicate_study(
-    nu_values,
-    seeds,
-    *,
-    missions: int = 30,
-    phases: int = 8,
-    true_bugs: int = 100,
-    max_bugs: int = 400,
-    t_range: tuple[int, int] = (0, 50),
-    chains: int = 3,
-    iterations: int = 50_000,
-    dispersion: float = 50.0,
-) -> list[StudyResult]:
-    """Generate-and-refit sweep over detection-decay exponents.
-
-    For each exponent, draws a campaign with that exponent, fits it, and
-    records how well the posterior recovers the generating quantities.
-    ``seeds`` is either one integer (per-exponent seeds are derived from it)
-    or a sequence matching ``nu_values``.
-    """
-    nu_values = list(nu_values)
-    if not nu_values:
-        raise ValueError("need at least one decay exponent")
-    if isinstance(seeds, (int, np.integer)):
-        seeds = [int(seeds) + i for i in range(len(nu_values))]
-    else:
-        seeds = [int(s) for s in seeds]
-        if len(seeds) != len(nu_values):
-            raise ValueError("seeds must match nu_values in length")
-
-    from .diagnostics import summarize
-
-    results = []
-    for nu, seed in zip(nu_values, seeds):
-        model_config = ModelConfig(
-            max_bugs=max_bugs, size_exponent=float(nu), dispersion=dispersion
-        )
-        gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-        campaign, truth = generate_campaign(
-            model_config, missions, phases, true_bugs, t_range, gen_rng
-        )
-        sampler_config = SamplerConfig(chains=chains, iterations=iterations, seed=seed)
-        try:
-            chainset = run_all(campaign, model_config, sampler_config)
-        except Exception as exc:
-            raise RuntimeError(f"fit failed for decay exponent {nu}") from exc
-        report = summarize(chainset)
-        results.append(
-            StudyResult(
-                size_exponent=float(nu),
-                seed=seed,
-                true_bugs=true_bugs,
-                detected=campaign.detected_total,
-                true_remaining_size=truth.remaining_size,
-                posterior_mean_bugs=report["total_bugs"].pooled_mean,
-                posterior_mean_inclusion=report["inclusion_prob"].pooled_mean,
-                rhat_bugs=report["total_bugs"].rhat,
-                rhat_inclusion=report["inclusion_prob"].rhat,
-                tracked_size_means={
-                    name: report[name].pooled_mean
-                    for name in report.parameters
-                    if name.startswith("size[")
-                },
-                tracked_mean_size_means={
-                    name: report[name].pooled_mean
-                    for name in report.parameters
-                    if name.startswith("mean_size[")
-                },
-            )
-        )
-    return results

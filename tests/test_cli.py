@@ -72,6 +72,14 @@ def test_simulate_deterministic(tmp_path):
     assert (out1 / "truth.json").read_bytes() == (out2 / "truth.json").read_bytes()
 
 
+def test_simulate_rejects_empty_grid(tmp_path, capsys):
+    for missions in ("0", "-1"):
+        code = main(["simulate", "--missions", missions, "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "need missions >= 1 and phases >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "campaign.csv").exists()
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BUGSIZE_OUT_DIR", str(tmp_path / "from_env"))
     assert main(["simulate", "--missions", "2", "--phases", "2", "--true-bugs", "2",
@@ -104,6 +112,17 @@ def test_fit_ceiling_below_detections(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert "ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--nu", "nan"), ("--dispersion", "nan"),
+                                         ("--dispersion", "inf")])
+def test_fit_rejects_non_finite_model_values(tmp_path, capsys, flag, value):
+    campaign_path = small_campaign_file(tmp_path)
+    code, out = run_fit(tmp_path, campaign_path, extra=(flag, value))
+    assert code == 1
+    name = {"--nu": "size_exponent", "--dispersion": "dispersion"}[flag]
+    assert f"{name} must be finite and positive, got {value}" in capsys.readouterr().err
+    assert not (out / "draws.csv").exists()
 
 
 def test_fit_strict_convergence_warning(tmp_path, capsys):

@@ -63,6 +63,14 @@ def test_model_config_validation():
     assert cfg.mean_size_shape == 50.0 and cfg.mean_size_rate == 0.5
 
 
+@pytest.mark.parametrize("field", ["size_exponent", "mean_size_shape", "mean_size_rate",
+                                   "dispersion"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_model_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got {value}$"):
+        ModelConfig(max_bugs=10, **{field: value})
+
+
 def test_augmented_state_validation():
     state = AugmentedState(
         include=np.array([True, False]),

@@ -1,57 +1,8 @@
 import numpy as np
 import pytest
 
-from bugsize.model import AugmentedState
-from bugsize.reliability import (
-    chain_reliability,
-    reliability_at,
-    reliability_curve,
-    remaining_size,
-)
+from bugsize.reliability import chain_reliability, reliability_at, reliability_curve
 from helpers import make_chainset
-
-
-def make_state(include, size, detected):
-    include = np.asarray(include, dtype=bool)
-    return AugmentedState(
-        include=include,
-        size=np.asarray(size, dtype=np.int64),
-        mean_size=np.ones(include.size),
-        inclusion_prob=0.5,
-        detected=np.asarray(detected, dtype=bool),
-    )
-
-
-# -------------------------------------------------------------- remaining
-
-def test_remaining_size_all_detected():
-    state = make_state([True, True], [40, 60], [True, True])
-    assert remaining_size(state) == 0
-
-
-def test_remaining_size_single_hidden_bug():
-    state = make_state([True, True], [40, 138], [True, False])
-    assert remaining_size(state) == 138
-
-
-def test_remaining_size_mixed():
-    # one detected, one hidden-but-real, one not real
-    state = make_state([True, True, False], [10, 20, 30], [True, False, False])
-    assert remaining_size(state) == 20
-
-
-def test_remaining_size_equals_two_sum_form():
-    # total included size minus total detected size, on random states
-    rng = np.random.default_rng(40)
-    for _ in range(50):
-        m = int(rng.integers(1, 30))
-        detected = rng.random(m) < 0.3
-        include = detected | (rng.random(m) < 0.5)
-        size = rng.integers(0, 200, size=m)
-        state = make_state(include, size, detected)
-        two_sum = int((size * include).sum() - (size * detected).sum())
-        assert remaining_size(state) == two_sum
-        assert remaining_size(state) >= 0
 
 
 # ------------------------------------------------------------ reliability

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from bugsize.diagnostics import summarize
 from bugsize.model import ModelConfig, detection_prob
-from bugsize.simulate import generate_campaign, replicate_study
+from bugsize.sampler import SamplerConfig, run_all
+from bugsize.simulate import generate_campaign
 
 
 def small_config(**kwargs):
@@ -77,36 +79,28 @@ def test_generate_campaign_input_validation():
         generate_campaign(config, 3, 2, 10, (5, 2), rng)
     with pytest.raises(ValueError, match="testing effort"):
         generate_campaign(config, 3, 2, 10, (0, 0), rng)
+    # an empty grid is rejected up front, before any draw
+    state = rng.bit_generator.state
+    for missions, phases in [(0, 2), (-1, 2), (3, 0), (3, -1)]:
+        with pytest.raises(ValueError, match="need missions >= 1 and phases >= 1"):
+            generate_campaign(config, missions, phases, 10, (0, 10), rng)
+    assert rng.bit_generator.state == state
 
 
-def test_replicate_study_rows_and_recovery():
-    results = replicate_study(
-        [1.0, 1.25, 1.5],
-        7,
-        missions=6,
-        phases=3,
-        true_bugs=30,
-        max_bugs=120,
-        t_range=(0, 50),
-        chains=2,
-        iterations=1500,
-        dispersion=50.0,
-    )
-    assert len(results) == 3
-    assert [r.size_exponent for r in results] == [1.0, 1.25, 1.5]
-    for r in results:
-        assert r.detected <= r.true_bugs
-        # default-prior sizes are ~100, so nearly everything real gets caught
-        assert abs(r.posterior_mean_bugs - r.true_bugs) < 5.0
-        assert abs(r.posterior_mean_inclusion - r.true_bugs / 120.0) < 0.03
-        assert set(r.tracked_size_means) == {"size[0]", "size[1]", "size[118]", "size[119]"}
-        # per-bug size means stay near the prior mean under weak per-bug data
-        for value in r.tracked_mean_size_means.values():
-            assert abs(value - 100.0) < 10.0
-
-
-def test_replicate_study_validation():
-    with pytest.raises(ValueError):
-        replicate_study([], 1)
-    with pytest.raises(ValueError):
-        replicate_study([1.0, 1.5], [1])
+@pytest.mark.parametrize("nu, seed", [(1.0, 7), (1.25, 8), (1.5, 9)])
+def test_recovery_across_decay_exponents(nu, seed):
+    config = ModelConfig(max_bugs=120, size_exponent=nu, dispersion=50.0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    campaign, truth = generate_campaign(config, 6, 3, 30, (0, 50), rng)
+    chainset = run_all(campaign, config, SamplerConfig(chains=2, iterations=1500, seed=seed))
+    report = summarize(chainset)
+    assert campaign.detected_total <= truth.true_bugs == 30
+    # default-prior sizes are ~100, so nearly everything real gets caught
+    assert abs(report["total_bugs"].pooled_mean - 30) < 5.0
+    assert abs(report["inclusion_prob"].pooled_mean - 30 / 120.0) < 0.03
+    sizes = {name for name in report.parameters if name.startswith("size[")}
+    assert sizes == {"size[0]", "size[1]", "size[118]", "size[119]"}
+    # per-bug size means stay near the prior mean under weak per-bug data
+    for name in report.parameters:
+        if name.startswith("mean_size["):
+            assert abs(report[name].pooled_mean - 100.0) < 10.0
