@@ -9,6 +9,7 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -145,6 +146,8 @@ def _fit_workers(threads: int | None, chains: int) -> int:
 
 
 def cmd_fit(args) -> int:
+    if not math.isfinite(args.rhat_warn):
+        raise ValueError(f"--rhat-warn must be a finite number, got {args.rhat_warn}")
     out = _out_dir(args)
     campaign = dataio.read_campaign(args.campaign)
     model_config = ModelConfig(
@@ -161,7 +164,7 @@ def cmd_fit(args) -> int:
     chainset = run_all(campaign, model_config, sampler_config)
     report = diagnostics.summarize(chainset)
     dataio.write_draws(chainset, out / "draws.csv")
-    doc = dataio.build_report(report, chainset, model_config, sampler_config)
+    doc = dataio.build_report(report, chainset, model_config)
     dataio.write_report(doc, out / "report.json")
 
     bugs = report["total_bugs"]
@@ -176,15 +179,16 @@ def cmd_fit(args) -> int:
     print(f"worst split R-hat: {worst_rhat:.4f} ({worst_name})")
     print(f"draws:  {out / 'draws.csv'}")
     print(f"report: {out / 'report.json'}")
-    if worst_rhat > args.rhat_warn:
-        print(
-            f"warning: split R-hat {worst_rhat:.4f} on {worst_name} exceeds "
-            f"{args.rhat_warn}; consider more iterations",
-            file=sys.stderr,
-        )
-        if args.strict:
-            return EXIT_CONVERGENCE
-    return EXIT_OK
+    if math.isnan(worst_rhat):
+        warning = ("split R-hat could not be computed, so convergence was not checked; "
+                   "it needs 2 chains of at least 4 kept draws each")
+    elif worst_rhat > args.rhat_warn:
+        warning = (f"split R-hat {worst_rhat:.4f} on {worst_name} exceeds "
+                   f"{args.rhat_warn}; consider more iterations")
+    else:
+        return EXIT_OK
+    print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_CONVERGENCE if args.strict else EXIT_OK
 
 
 def _parse_epsilons(raw: str) -> list[float]:
@@ -244,7 +248,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # str(KeyError) quotes its message; an OSError's args[0] is its errno
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"bugsize: error: {message}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import CREDIBLE_MASS
 from .model import TestCampaign
 from .sampler import ChainDraws, ChainSet
 
@@ -115,9 +116,9 @@ def write_draws(chainset: ChainSet, path) -> None:
         f"# meta chains={chainset.n_chains} iterations={chainset.iterations} "
         f"burn_in={chainset.burn_in} thin={chainset.thin} base_seed={chainset.base_seed}"
     )
-    for chain in chainset.chains:
+    for chain, seed_key in zip(chainset.chains, chainset.seed_keys()):
         acc = " ".join(f"{k}={repr(float(v))}" for k, v in chain.acceptance.items())
-        lines.append(f"# chain {chain.chain} seed={chain.seed_key} acceptance {acc}".rstrip())
+        lines.append(f"# chain {chain.chain} seed={seed_key} acceptance {acc}".rstrip())
     lines.append("chain,iteration,parameter,value")
     for chain in chainset.chains:
         heads = [f"{chain.chain},{it}," for it in chain.iterations.tolist()]
@@ -133,7 +134,8 @@ def read_draws(path) -> ChainSet:
 
     Rejects files whose version stamp does not match what this reader
     understands, and files whose chains do not all hold the same number of
-    draws of the same parameters.
+    draws of the same parameters.  A chain's ``seed=`` token is skipped: the
+    seed key follows from the base seed and the chain id.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -141,7 +143,7 @@ def read_draws(path) -> ChainSet:
     if stamp != DRAWS_STAMP:
         raise ValueError(f"{path}: version stamp {stamp!r} does not match {DRAWS_STAMP!r}")
     meta = {}
-    chain_meta: dict[int, dict] = {}
+    chain_acceptance: dict[int, dict[str, float]] = {}
     header_at = None
     for idx, line in enumerate(lines[1:], start=1):
         where = f"{path}:{idx + 1}"
@@ -154,19 +156,16 @@ def read_draws(path) -> ChainSet:
             if not tokens:
                 raise ValueError(f"{where}: chain line names no chain")
             chain_id = _parse_token(int, tokens[0], where, f"chain id {tokens[0]!r}", "an integer")
-            seed_key = ""
             acceptance = {}
             for token in tokens[1:]:
-                if token.startswith("seed="):
-                    seed_key = token[len("seed=") :]
-                elif token == "acceptance":
+                if token.startswith("seed=") or token == "acceptance":
                     continue
-                elif "=" in token:
+                if "=" in token:
                     k, _, v = token.partition("=")
                     acceptance[k] = _parse_token(
                         float, v, where, f"acceptance {token!r}", "a number"
                     )
-            chain_meta[chain_id] = {"seed_key": seed_key, "acceptance": acceptance}
+            chain_acceptance[chain_id] = acceptance
         elif line.startswith("#"):
             continue
         else:
@@ -212,14 +211,12 @@ def read_draws(path) -> ChainSet:
         for iters, _ in columns.values():
             if iters != first:
                 raise ValueError(f"{path}: chain {chain_id} iteration grids disagree")
-        info = chain_meta.get(chain_id, {"seed_key": "", "acceptance": {}})
         chains.append(
             ChainDraws(
                 chain=chain_id,
-                seed_key=info["seed_key"],
                 iterations=np.array(first, dtype=np.int64),
                 draws=draws,
-                acceptance=info["acceptance"],
+                acceptance=chain_acceptance.get(chain_id, {}),
             )
         )
     names = dict.fromkeys(name for chain in chains for name in chain.draws)
@@ -262,20 +259,14 @@ def _jsonable(value):
     return value
 
 
-def build_report(
-    report,
-    chainset: ChainSet,
-    model_config,
-    sampler_config,
-    reliability=None,
-) -> dict:
+def build_report(report, chainset: ChainSet, model_config) -> dict:
     """Assemble the JSON report document.
 
     Carries per-chain and pooled summaries, convergence diagnostics, the
-    acceptance rates and seeds of every chain, an echo of both configs, and
-    (optionally) a reliability block with pooled and per-chain curves.
+    acceptance rates and seeds of every chain, and an echo of the model
+    config and of the chain set's run settings.
     """
-    doc = {
+    return {
         "format": REPORT_FORMAT,
         "config": {
             "model": {
@@ -286,20 +277,20 @@ def build_report(
                 "dispersion": model_config.dispersion,
             },
             "sampler": {
-                "chains": sampler_config.chains,
-                "iterations": sampler_config.iterations,
-                "burn_in": sampler_config.effective_burn_in,
-                "thin": sampler_config.thin,
-                "seed": sampler_config.seed,
+                "chains": chainset.n_chains,
+                "iterations": chainset.iterations,
+                "burn_in": chainset.burn_in,
+                "thin": chainset.thin,
+                "seed": chainset.base_seed,
             },
         },
         "seeds": {
             "base": chainset.base_seed,
-            "chains": [c.seed_key for c in chainset.chains],
+            "chains": chainset.seed_keys(),
         },
         "acceptance": {str(c.chain): dict(c.acceptance) for c in chainset.chains},
         "kept_per_chain": chainset.kept_per_chain,
-        "credible_mass": report.credible_mass,
+        "credible_mass": CREDIBLE_MASS,
         "parameters": {
             name: {
                 "chain_means": list(s.chain_means),
@@ -314,9 +305,6 @@ def build_report(
             for name, s in report.parameters.items()
         },
     }
-    if reliability is not None:
-        doc["reliability"] = reliability
-    return doc
 
 
 def write_report(doc: dict, path) -> None:

@@ -160,17 +160,18 @@ class PosteriorReport:
     """Summaries for every tracked parameter of a chain set."""
 
     parameters: dict[str, ParameterSummary]
-    credible_mass: float
-    n_chains: int
-    kept_per_chain: int
 
     def __getitem__(self, name: str) -> ParameterSummary:
         return self.parameters[name]
 
     def worst_rhat(self) -> tuple[str, float]:
-        """Parameter with the largest split scale reduction factor."""
-        name = max(self.parameters, key=lambda p: self.parameters[p].rhat)
-        return name, self.parameters[name].rhat
+        """Parameter with the largest split scale reduction factor.
+
+        The first parameter whose factor could not be computed (nan) ranks
+        above every finite one, so an unchecked fit never reads as converged.
+        """
+        name = max(self.parameters, key=lambda p: (np.isnan(self[p].rhat), self[p].rhat))
+        return name, self[name].rhat
 
 
 def _coefficient_of_variation(mean: float, sd: float) -> float:
@@ -220,12 +221,7 @@ def summarize(chainset: ChainSet) -> PosteriorReport:
             rhat_upper=float(upper),
             ess=float(ess),
         )
-    return PosteriorReport(
-        parameters=summaries,
-        credible_mass=CREDIBLE_MASS,
-        n_chains=chainset.n_chains,
-        kept_per_chain=chainset.kept_per_chain,
-    )
+    return PosteriorReport(parameters=summaries)
 
 
 def trace_export(chainset: ChainSet, parameter: str) -> list[tuple[int, int, float]]:
@@ -233,13 +229,8 @@ def trace_export(chainset: ChainSet, parameter: str) -> list[tuple[int, int, flo
 
     Ordered by chain then iteration; ready for any plotting tool.
     """
-    if parameter not in chainset.parameters():
-        raise KeyError(
-            f"unknown parameter {parameter!r}; tracked: {', '.join(chainset.parameters())}"
-        )
-    records: list[tuple[int, int, float]] = []
-    for chain in chainset.chains:
-        values = chain.draws[parameter]
-        for it, value in zip(chain.iterations, values):
-            records.append((chain.chain, int(it), float(value)))
-    return records
+    return [
+        (chain.chain, it, value)
+        for chain, values in zip(chainset.chains, chainset.matrix(parameter))
+        for it, value in zip(chain.iterations.tolist(), values.tolist())
+    ]

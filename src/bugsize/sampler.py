@@ -52,9 +52,10 @@ class SamplerConfig:
     """Run settings for the Gibbs sampler.
 
     ``burn_in`` defaults to half the iterations.  ``track`` selects the
-    candidate indices whose size and size-mean trajectories are recorded
-    alongside the always-tracked scalars; by default the first two and last
-    two candidates.  ``use_likelihood=False`` drops every detection-
+    candidate indices whose inclusion, size and size-mean trajectories are
+    recorded alongside the always-tracked scalars; by default the first two
+    and last two candidates, and ``tuple(range(max_bugs))`` keeps every
+    candidate.  ``use_likelihood=False`` drops every detection-
     likelihood term so the sampler targets the bare prior (a testing hook),
     and ``fixed_mean_size`` freezes all size means at a constant.
     """
@@ -65,7 +66,6 @@ class SamplerConfig:
     seed: int = 0
     thin: int = 1
     track: tuple[int, ...] | None = None
-    keep_candidate_draws: bool = False
     use_likelihood: bool = True
     fixed_mean_size: float | None = None
     workers: int = 1
@@ -98,11 +98,9 @@ class ChainDraws:
     """Kept draws and bookkeeping for a single chain."""
 
     chain: int
-    seed_key: str
     iterations: np.ndarray
     draws: dict[str, np.ndarray]
     acceptance: dict[str, float]
-    candidate_draws: dict[str, np.ndarray] | None = None
 
 
 @dataclass
@@ -122,6 +120,10 @@ class ChainSet:
     @property
     def kept_per_chain(self) -> int:
         return int(self.chains[0].iterations.shape[0]) if self.chains else 0
+
+    def seed_keys(self) -> list[str]:
+        """Each chain's seed key, ``base_seed:chain``, in chain order."""
+        return [f"{self.base_seed}:{c.chain}" for c in self.chains]
 
     def parameters(self) -> list[str]:
         """Tracked parameter names, in recording order."""
@@ -320,11 +322,6 @@ def run_chain(
     table = np.empty((len(names), kept))
     tracked_include, tracked_size, tracked_mean = np.split(table[3:], 3)
     kept_iters = np.empty(kept, dtype=np.int64)
-    candidate_draws = None
-    if sampler_config.keep_candidate_draws:
-        candidate_draws = {
-            key: np.empty((kept, m)) for key in ("include", "size", "mean_size")
-        }
 
     accept_size = 0.0
     accept_mean = 0.0
@@ -343,10 +340,6 @@ def run_chain(
             tracked_include[:, out] = state.include[track]
             tracked_size[:, out] = state.size[track]
             tracked_mean[:, out] = state.mean_size[track]
-            if candidate_draws is not None:
-                candidate_draws["include"][out] = state.include
-                candidate_draws["size"][out] = state.size
-                candidate_draws["mean_size"][out] = state.mean_size
             out += 1
 
     total = float(sampler_config.iterations)
@@ -355,11 +348,9 @@ def run_chain(
         acceptance["mean_size"] = accept_mean / total
     return ChainDraws(
         chain=chain_index,
-        seed_key=f"{sampler_config.seed}:{chain_index}",
         iterations=kept_iters,
         draws=dict(zip(names, table)),
         acceptance=acceptance,
-        candidate_draws=candidate_draws,
     )
 
 

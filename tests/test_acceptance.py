@@ -125,10 +125,10 @@ def test_criterion_4_prior_recovery():
         free = run_all(
             campaign, config,
             SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=3,
-                          use_likelihood=False, keep_candidate_draws=True),
+                          use_likelihood=False, track=tuple(range(25))),
         )
         lam_draws = np.concatenate(
-            [c.candidate_draws["mean_size"].ravel() for c in free.chains]
+            [free.pooled(f"mean_size[{i}]") for i in range(25)]
         )
         assert lam_draws.size >= 50_000
         assert abs(lam_draws.mean() - 100.0) <= 2.0
@@ -138,10 +138,10 @@ def test_criterion_4_prior_recovery():
             campaign, config,
             SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=5,
                           use_likelihood=False, fixed_mean_size=5.0,
-                          keep_candidate_draws=True),
+                          track=tuple(range(25))),
         )
         s_draws = np.concatenate(
-            [c.candidate_draws["size"].ravel() for c in fixed.chains]
+            [fixed.pooled(f"size[{i}]") for i in range(25)]
         ).astype(int)
         assert s_draws.size >= 50_000
         pmf = np.exp(nb_log_pmf(np.arange(101), 5.0, 50.0))

@@ -102,8 +102,30 @@ def test_fit_smoke_is_quick(tmp_path, capsys):
 
 
 def test_fit_missing_file(tmp_path, capsys):
-    assert main(["fit", str(tmp_path / "nope.csv")]) == 1
-    assert "error" in capsys.readouterr().err
+    missing = tmp_path / "nope.csv"
+    assert main(["fit", str(missing), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bugsize: error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("command, extra", [("diagnose", ()),
+                                            ("reliability", ("--epsilon", "10"))])
+def test_draws_commands_name_a_missing_file(tmp_path, capsys, command, extra):
+    missing = tmp_path / "nope.csv"
+    assert main([command, str(missing), *extra, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bugsize: error: ") and str(missing) in err
+
+
+def test_unwritable_out_dir_is_named(tmp_path, capsys):
+    _, out = run_fit(tmp_path, small_campaign_file(tmp_path))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert main(["reliability", str(out / "draws.csv"), "--epsilon", "10",
+                 "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bugsize: error: ") and str(blocker) in err
 
 
 def test_fit_ceiling_below_detections(tmp_path, capsys):
@@ -133,6 +155,30 @@ def test_fit_strict_convergence_warning(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
     code, _ = run_fit(tmp_path, campaign_path, "soft", extra=("--rhat-warn", "0.999"))
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_rejects_non_finite_rhat_warn(tmp_path, capsys, value):
+    code, out = run_fit(tmp_path, small_campaign_file(tmp_path),
+                        extra=(f"--rhat-warn={value}", "--strict"))
+    assert code == 1
+    assert f"--rhat-warn must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (out / "draws.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [("--iters", "3"), ("--chains", "1")],
+                         ids=["three-iterations", "one-chain"])
+def test_fit_without_rhat_is_not_reported_converged(tmp_path, capsys, extra):
+    campaign_path = small_campaign_file(tmp_path)
+    code, _ = run_fit(tmp_path, campaign_path, "strict", extra=(*extra, "--strict"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "worst split R-hat: nan" in captured.out
+    assert "convergence was not checked" in captured.err
+    assert "2 chains of at least 4 kept draws" in captured.err
+    code, _ = run_fit(tmp_path, campaign_path, "soft", extra=extra)
+    assert code == 0
+    assert "convergence was not checked" in capsys.readouterr().err
 
 
 def test_fit_deterministic_files(tmp_path):

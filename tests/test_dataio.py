@@ -13,6 +13,7 @@ from bugsize.dataio import (
     write_report,
     write_trace,
 )
+from bugsize.cli import main
 from bugsize.datasets import SAMPLE_CAMPAIGN_CSV
 from bugsize.diagnostics import summarize, trace_export
 from bugsize.model import ModelConfig, TestCampaign
@@ -102,13 +103,28 @@ def test_draws_round_trip(tmp_path, small_chainset):
     assert loaded.burn_in == chainset.burn_in
     assert loaded.thin == chainset.thin
     assert loaded.parameters() == chainset.parameters()
+    assert loaded.seed_keys() == chainset.seed_keys() == ["60:0", "60:1", "60:2"]
     for original, parsed in zip(chainset.chains, loaded.chains):
         assert parsed.chain == original.chain
-        assert parsed.seed_key == original.seed_key
         assert parsed.acceptance == original.acceptance
         assert np.array_equal(parsed.iterations, original.iterations)
         for name in original.draws:
             assert np.array_equal(parsed.draws[name], original.draws[name])
+
+
+def test_fitted_draws_file_rewrites_byte_for_byte(tmp_path):
+    # a CLI fit, so the meta, seed and acceptance lines are the real ones
+    campaign = tmp_path / "campaign.csv"
+    write_campaign(TestCampaign(test_cases=[[8, 3], [6, 2]], bugs_detected=[[2, 0], [1, 1]]),
+                   campaign)
+    assert main(["fit", str(campaign), "--chains", "2", "--iters", "60", "--burn-in", "20",
+                 "--thin", "3", "--seed", "17", "--max-bugs", "12",
+                 "--out", str(tmp_path)]) == 0
+    fitted = tmp_path / "draws.csv"
+    assert "# chain 1 seed=17:1 acceptance size=" in fitted.read_text()
+    rewritten = tmp_path / "rewritten.csv"
+    write_draws(read_draws(fitted), rewritten)
+    assert rewritten.read_bytes() == fitted.read_bytes()
 
 
 def test_draws_round_trip_numpy_scalar_acceptance(tmp_path, small_chainset):
@@ -253,17 +269,16 @@ def test_read_draws_names_file_and_line_of_malformed_comment(
 def test_report_document_round_trip(tmp_path, small_chainset):
     campaign, config, chainset = small_chainset
     report = summarize(chainset)
-    scfg = SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60)
-    doc = build_report(report, chainset, config, scfg,
-                       reliability={"epsilon": [10.0, 20.0], "pooled": [0.5, 0.9]})
+    doc = build_report(report, chainset, config)
     path = tmp_path / "report.json"
     write_report(doc, path)
     loaded = json.loads(path.read_text())
     assert loaded["format"] == "bugsize-report-v2"
     assert loaded["config"]["model"]["max_bugs"] == config.max_bugs
-    assert loaded["config"]["sampler"]["seed"] == 60
+    assert loaded["config"]["sampler"] == {
+        "chains": 3, "iterations": 40, "burn_in": 20, "thin": 1, "seed": 60}
     assert loaded["seeds"]["chains"] == ["60:0", "60:1", "60:2"]
-    assert loaded["reliability"]["epsilon"] == [10.0, 20.0]
+    assert loaded["credible_mass"] == 0.95
     assert set(loaded["parameters"]) == set(chainset.parameters())
     psi = loaded["parameters"]["inclusion_prob"]
     assert psi["pooled_mean"] == report["inclusion_prob"].pooled_mean
@@ -273,10 +288,7 @@ def test_report_document_round_trip(tmp_path, small_chainset):
 def test_report_single_parameter_block(tmp_path):
     chainset = make_chainset({"inclusion_prob": np.random.default_rng(62).uniform(size=(2, 30))})
     report = summarize(chainset)
-    doc = build_report(
-        report, chainset,
-        ModelConfig(max_bugs=10), SamplerConfig(chains=2, iterations=30, burn_in=0),
-    )
+    doc = build_report(report, chainset, ModelConfig(max_bugs=10))
     path = tmp_path / "one.json"
     write_report(doc, path)
     loaded = json.loads(path.read_text())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -176,6 +178,17 @@ def test_worst_rhat_points_at_stuck_parameter():
     report = summarize(make_chainset({"good": good, "bad": bad}))
     name, value = report.worst_rhat()
     assert name == "bad" and value > 1.1
+
+
+def test_worst_rhat_is_nan_when_any_rhat_is_nan():
+    rng = np.random.default_rng(38)
+    # a nan listed after an infinite factor still wins
+    report = summarize(make_chainset({"stuck": np.vstack([np.zeros(400), np.ones(400)]),
+                                      "unchecked": rng.standard_normal((2, 400))}))
+    assert report["stuck"].rhat == float("inf")
+    report.parameters["unchecked"] = replace(report["unchecked"], rhat=float("nan"))
+    name, value = report.worst_rhat()
+    assert name == "unchecked" and np.isnan(value)
 
 
 # ----------------------------------------------------------- trace export

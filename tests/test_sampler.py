@@ -411,8 +411,7 @@ def test_run_chain_matches_reference_updates(monkeypatch):
     camp = TestCampaign(test_cases=[[40, 9, 70], [12, 55, 3]],
                         bugs_detected=[[4, 1, 2], [0, 3, 0]])
     config = ModelConfig(max_bugs=300)
-    scfg = SamplerConfig(iterations=300, burn_in=100, thin=2, keep_candidate_draws=True,
-                         track=(0, 5, 17, 299))
+    scfg = SamplerConfig(iterations=300, burn_in=100, thin=2, track=tuple(range(300)))
     got = run_chain(camp, config, scfg, 1, np.random.default_rng(36))
     from bugsize import sampler
 
@@ -423,20 +422,16 @@ def test_run_chain_matches_reference_updates(monkeypatch):
     assert list(got.draws) == list(want.draws)
     for name in want.draws:
         assert got.draws[name].tobytes() == want.draws[name].tobytes(), name
-    for key in ("include", "size", "mean_size"):
-        assert got.candidate_draws[key].tobytes() == want.candidate_draws[key].tobytes()
     assert got.iterations.tobytes() == want.iterations.tobytes()
     assert got.acceptance == want.acceptance
     assert all(type(v) is float for v in got.acceptance.values())
-    # the recorded scalars and tracked columns are those of the kept states
-    kept = got.candidate_draws
+    # the recorded scalars are those of the kept states: every candidate is tracked
+    kept = {key: np.stack([got.draws[f"{key}[{i}]"] for i in scfg.track], axis=1)
+            for key in ("include", "size", "mean_size")}
     hidden = np.arange(config.max_bugs) >= camp.detected_total
     assert np.array_equal(got.draws["total_bugs"], kept["include"].sum(axis=1))
     remaining = (kept["size"] * kept["include"])[:, hidden].sum(axis=1)
     assert np.array_equal(got.draws["remaining_size"], remaining)
-    for i in scfg.track:
-        for key in ("include", "size", "mean_size"):
-            assert got.draws[f"{key}[{i}]"].tobytes() == kept[key][:, i].tobytes()
 
 
 # -------------------------------------------------------------- run_chain
@@ -622,7 +617,7 @@ def test_kept_state_invariants():
     camp = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[2, 1]])
     m = 12
     config = ModelConfig(max_bugs=m, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=2, iterations=500, seed=23, keep_candidate_draws=True)
+    scfg = SamplerConfig(chains=2, iterations=500, seed=23, track=tuple(range(m)))
     chainset = run_all(camp, config, scfg)
     n = camp.detected_total
     for chain in chainset.chains:
@@ -632,8 +627,8 @@ def test_kept_state_invariants():
         assert np.all(remaining >= 0)
         # nothing hidden whenever only the detected candidates are included
         assert np.all(remaining[totals == n] == 0)
-        include = chain.candidate_draws["include"]
-        assert np.all(include[:, :n] == 1.0)
+        for i in range(n):
+            assert np.all(chain.draws[f"include[{i}]"] == 1.0)
 
 
 def test_summarized_fit_ess_within_inflation_allowance():
