@@ -3,7 +3,7 @@
 Every command is bit-reproducible given the same flags and seed.  Exit
 codes: 0 success, 1 usage or data error, 2 convergence warning under
 ``--strict``.  The output directory defaults to $BUGSIZE_OUT_DIR, then the
-current directory.
+current directory; a command creates it only once its input checks out.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     config = ModelConfig(
         max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion
     )
@@ -103,6 +102,7 @@ def cmd_simulate(args) -> int:
     campaign, truth = simulate.generate_campaign(
         config, args.missions, args.phases, args.true_bugs, (args.t_min, args.t_max), rng
     )
+    out = _out_dir(args)
     dataio.write_campaign(campaign, out / "campaign.csv")
     truth_doc = {
         "format": dataio.TRUTH_FORMAT,
@@ -137,6 +137,8 @@ def _fit_workers(threads: int | None, chains: int) -> int:
     """Worker processes for ``fit``: ``--threads`` if given, else one per chain,
     up to the CPUs this process may run on."""
     if threads is not None:
+        if threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
         return threads
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -148,7 +150,6 @@ def _fit_workers(threads: int | None, chains: int) -> int:
 def cmd_fit(args) -> int:
     if not math.isfinite(args.rhat_warn):
         raise ValueError(f"--rhat-warn must be a finite number, got {args.rhat_warn}")
-    out = _out_dir(args)
     campaign = dataio.read_campaign(args.campaign)
     model_config = ModelConfig(
         max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion
@@ -161,6 +162,7 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         workers=_fit_workers(args.threads, args.chains),
     )
+    out = _out_dir(args)
     chainset = run_all(campaign, model_config, sampler_config)
     report = diagnostics.summarize(chainset)
     dataio.write_draws(chainset, out / "draws.csv")
@@ -202,9 +204,9 @@ def _parse_epsilons(raw: str) -> list[float]:
 
 
 def cmd_reliability(args) -> int:
-    out = _out_dir(args)
     chainset = dataio.read_draws(args.draws)
     curve = reliability.reliability_curve(chainset, _parse_epsilons(args.epsilon))
+    out = _out_dir(args)
     dataio.write_reliability_curve(curve, out / "reliability.csv")
     print("epsilon  reliability")
     for epsilon, probability in curve:
@@ -214,7 +216,6 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    out = _out_dir(args)
     chainset = dataio.read_draws(args.draws)
     if chainset.n_chains < 2:
         raise ValueError("need >=2 chains for convergence diagnostics")
@@ -227,6 +228,7 @@ def cmd_diagnose(args) -> int:
                 f"unknown parameter(s) {', '.join(unknown)}; tracked: {', '.join(names)}"
             )
         names = wanted
+    out = _out_dir(args)
     print(f"{'parameter':<18} {'R-hat':>8} {'upper':>8} {'ESS':>12}")
     for name in names:
         x = chainset.matrix(name)

@@ -8,6 +8,7 @@ Draw files carry a version stamp that readers refuse to ignore.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -31,6 +32,7 @@ __all__ = [
 
 CAMPAIGN_FIELDS = ["mission", "phase", "test_cases", "bugs_detected"]
 DRAWS_STAMP = "# bugsize-draws-v1"
+META_FIELDS = ("chains", "iterations", "burn_in", "thin", "base_seed")
 REPORT_FORMAT = "bugsize-report-v2"
 TRUTH_FORMAT = "bugsize-truth-v1"
 
@@ -81,9 +83,6 @@ def read_campaign(path) -> TestCampaign:
         for phase in phase_values:
             if (mission, phase) not in cells:
                 raise ValueError(f"{path}: missing cell ({mission}, {phase})")
-    extra = len(cells) - len(missions) * len(phase_values)
-    if extra:
-        raise ValueError(f"{path}: ragged phase structure across missions")
 
     t_matrix = np.empty((len(missions), len(phase_values)), dtype=np.int64)
     y_matrix = np.empty_like(t_matrix)
@@ -121,7 +120,7 @@ def write_draws(chainset: ChainSet, path) -> None:
         lines.append(f"# chain {chain.chain} seed={seed_key} acceptance {acc}".rstrip())
     lines.append("chain,iteration,parameter,value")
     for chain in chainset.chains:
-        heads = [f"{chain.chain},{it}," for it in chain.iterations.tolist()]
+        heads = [f"{chain.chain},{it}," for it in chainset.kept_iterations]
         for name, values in chain.draws.items():
             # Python floats, so repr writes the shortest round-tripping digits
             values = np.asarray(values, dtype=float).tolist()
@@ -133,9 +132,11 @@ def read_draws(path) -> ChainSet:
     """Read a stamped draws CSV back into a chain set.
 
     Rejects files whose version stamp does not match what this reader
-    understands, and files whose chains do not all hold the same number of
-    draws of the same parameters.  A chain's ``seed=`` token is skipped: the
-    seed key follows from the base seed and the chain id.
+    understands, and files without a complete ``# meta`` line.  Every chain
+    that line counts must hold draws of the same parameters, each at exactly
+    the kept iterations ``range(burn_in, iterations, thin)`` it gives.  A
+    chain's ``seed=`` token is skipped: the seed key follows from the base
+    seed and the chain id.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -156,16 +157,13 @@ def read_draws(path) -> ChainSet:
             if not tokens:
                 raise ValueError(f"{where}: chain line names no chain")
             chain_id = _parse_token(int, tokens[0], where, f"chain id {tokens[0]!r}", "an integer")
-            acceptance = {}
+            acceptance = chain_acceptance[chain_id] = {}
             for token in tokens[1:]:
-                if token.startswith("seed=") or token == "acceptance":
-                    continue
-                if "=" in token:
+                if "=" in token and not token.startswith("seed="):
                     k, _, v = token.partition("=")
                     acceptance[k] = _parse_token(
                         float, v, where, f"acceptance {token!r}", "a number"
                     )
-            chain_acceptance[chain_id] = acceptance
         elif line.startswith("#"):
             continue
         else:
@@ -173,6 +171,13 @@ def read_draws(path) -> ChainSet:
             break
     if header_at is None or lines[header_at] != "chain,iteration,parameter,value":
         raise ValueError(f"{path}: missing draw header row")
+    missing = [key for key in META_FIELDS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: no '# meta' line gives {', '.join(missing)}")
+    if meta["thin"] < 1:
+        raise ValueError(f"{path}: meta thin must be >= 1, got {meta['thin']}")
+    kept = range(meta["burn_in"], meta["iterations"], meta["thin"])
+    grid = list(kept)
 
     # chain id -> parameter -> (iterations, values), in order of first appearance
     per_chain: dict[int, dict[str, tuple[list[int], list[float]]]] = {}
@@ -203,37 +208,28 @@ def read_draws(path) -> ChainSet:
             f"got {line!r}"
         ) from None
 
+    if len(per_chain) != meta["chains"]:
+        raise ValueError(f"{path}: holds draws of {len(per_chain)} chains, "
+                         f"its meta line counts {meta['chains']}")
+    names = dict.fromkeys(name for columns in per_chain.values() for name in columns)
     chains = []
     for chain_id in sorted(per_chain):
         columns = per_chain[chain_id]
-        draws = {name: np.array(vals) for name, (_, vals) in columns.items()}
-        first = next(iter(columns.values()))[0]
-        for iters, _ in columns.values():
-            if iters != first:
-                raise ValueError(f"{path}: chain {chain_id} iteration grids disagree")
-        chains.append(
-            ChainDraws(
-                chain=chain_id,
-                iterations=np.array(first, dtype=np.int64),
-                draws=draws,
-                acceptance=chain_acceptance.get(chain_id, {}),
-            )
-        )
-    names = dict.fromkeys(name for chain in chains for name in chain.draws)
-    for chain in chains:
         for name in names:
-            if name not in chain.draws:
-                raise ValueError(f"{path}: chain {chain.chain} has no draws of {name!r}")
-            have, want = chain.draws[name].size, chains[0].draws[name].size
-            if have != want:
-                raise ValueError(f"{path}: chain {chain.chain} has {have} draws of {name!r}, "
-                                 f"chain {chains[0].chain} has {want}")
+            if name not in columns:
+                raise ValueError(f"{path}: chain {chain_id} has no draws of {name!r}")
+            iters = columns[name][0]
+            if iters != grid:
+                raise ValueError(f"{path}: chain {chain_id}'s {len(iters)} draws of {name!r} are "
+                                 f"not at the meta line's {len(grid)} iterations {kept!r}")
+        draws = {name: np.array(vals) for name, (_, vals) in columns.items()}
+        chains.append(ChainDraws(chain_id, draws, chain_acceptance.get(chain_id, {})))
     return ChainSet(
         chains=chains,
-        base_seed=meta.get("base_seed", 0),
-        iterations=meta.get("iterations", 0),
-        burn_in=meta.get("burn_in", 0),
-        thin=meta.get("thin", 1),
+        base_seed=meta["base_seed"],
+        iterations=meta["iterations"],
+        burn_in=meta["burn_in"],
+        thin=meta["thin"],
     )
 
 
@@ -269,13 +265,7 @@ def build_report(report, chainset: ChainSet, model_config) -> dict:
     return {
         "format": REPORT_FORMAT,
         "config": {
-            "model": {
-                "max_bugs": model_config.max_bugs,
-                "size_exponent": model_config.size_exponent,
-                "mean_size_shape": model_config.mean_size_shape,
-                "mean_size_rate": model_config.mean_size_rate,
-                "dispersion": model_config.dispersion,
-            },
+            "model": dataclasses.asdict(model_config),
             "sampler": {
                 "chains": chainset.n_chains,
                 "iterations": chainset.iterations,

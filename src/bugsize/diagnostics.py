@@ -232,5 +232,5 @@ def trace_export(chainset: ChainSet, parameter: str) -> list[tuple[int, int, flo
     return [
         (chain.chain, it, value)
         for chain, values in zip(chainset.chains, chainset.matrix(parameter))
-        for it, value in zip(chain.iterations.tolist(), values.tolist())
+        for it, value in zip(chainset.kept_iterations, values.tolist())
     ]

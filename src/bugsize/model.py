@@ -139,15 +139,23 @@ class AugmentedState:
         Current negative-binomial mean of each candidate's size.
     inclusion_prob : float
         Current probability that a candidate is real.
-    detected : ndarray of bool, shape (max_bugs,)
-        Fixed detection flags; detected candidates are always included.
+    n_detected : int
+        The detected count ``n``: candidates ``[:n]`` are the detected ones,
+        always included, and ``[n:]`` were never detected.
     """
 
     include: np.ndarray
     size: np.ndarray
     mean_size: np.ndarray
     inclusion_prob: float
-    detected: np.ndarray
+    n_detected: int
+
+    def __post_init__(self):
+        n = self.n_detected
+        if not 0 <= n <= self.max_bugs:
+            raise ValueError(f"detected count {n} outside [0, max_bugs={self.max_bugs}]")
+        if not self.include[:n].all():
+            raise ValueError("every detected candidate must be included")
 
     @property
     def max_bugs(self) -> int:
@@ -211,7 +219,9 @@ def detection_loglik(size, include, detected, exponent: float, t_max: float) -> 
     detected, and 0 for an excluded one.  A detected bug's cell term
     ``cell_probabilities(T)[j, k]`` does not depend on its size, so it is a
     constant that cancels from every ratio and is omitted: the campaign enters
-    only through ``t_max`` and the ``detected`` flags (the detected count).
+    only through ``t_max`` and the detected count ``n``.  The sampler keeps
+    its detected candidates first, so there ``detected`` is the prefix mask
+    ``arange(max_bugs) < n``.
 
     The sampler's sizes update runs :func:`_detection_loglik_ratio`, built
     from the same rate and ``log(alpha)`` helpers; this function is the
@@ -223,18 +233,18 @@ def detection_loglik(size, include, detected, exponent: float, t_max: float) -> 
     return np.where(detected, log_alpha, np.where(include, -x, 0.0))
 
 
-def _detection_loglik_ratio(x_new, x_cur, detected) -> np.ndarray:
+def _detection_loglik_ratio(x_new, x_cur, n: int) -> np.ndarray:
     """``detection_loglik`` at new sizes minus at current ones, for included candidates.
 
     Takes the rates of included candidates only (an excluded one's ratio is
-    0).  ``-x_new - (-x_cur)`` equals ``x_cur - x_new`` exactly in floating
+    0), in candidate order, so the ``n`` detected ones, always included, come
+    first.  ``-x_new - (-x_cur)`` equals ``x_cur - x_new`` exactly in floating
     point, so undetected candidates cost one subtraction, and only the
-    detected ones, selected by the boolean mask ``detected``, pay for
-    ``log(alpha)``.  A detected candidate at size 0 has
+    detected ones pay for ``log(alpha)``.  A detected candidate at size 0 has
     ``log(alpha) = -inf``; the caller ignores divide warnings.
     """
     out = x_cur - x_new
-    out[detected] = _log_detection_prob(x_new[detected]) - _log_detection_prob(x_cur[detected])
+    out[:n] = _log_detection_prob(x_new[:n]) - _log_detection_prob(x_cur[:n])
     return out
 
 

@@ -7,6 +7,9 @@ prior), and every candidate's size mean (conjugate-gamma surrogate
 proposal with a Metropolis-Hastings correction).  Chains are independent,
 each owning a seeded random generator spawned from the base seed.
 
+The campaign reaches the sampler as two numbers, the detected count ``n``
+and ``t_max``: candidates ``[:n]`` are the detected ones, always included.
+
 The sweep evaluates the detection kernel ``x = size**nu / t_max`` only
 where it is needed: the inclusion update for the undetected candidates, the
 sizes update for the included candidates alone (an excluded candidate's
@@ -98,14 +101,13 @@ class ChainDraws:
     """Kept draws and bookkeeping for a single chain."""
 
     chain: int
-    iterations: np.ndarray
     draws: dict[str, np.ndarray]
     acceptance: dict[str, float]
 
 
 @dataclass
 class ChainSet:
-    """Kept draws from independent chains plus the settings that made them."""
+    """Kept draws from independent chains, all at ``kept_iterations``, and their run settings."""
 
     chains: list[ChainDraws]
     base_seed: int
@@ -118,8 +120,12 @@ class ChainSet:
         return len(self.chains)
 
     @property
+    def kept_iterations(self) -> range:
+        return range(self.burn_in, self.iterations, self.thin)
+
+    @property
     def kept_per_chain(self) -> int:
-        return int(self.chains[0].iterations.shape[0]) if self.chains else 0
+        return len(self.kept_iterations)
 
     def seed_keys(self) -> list[str]:
         """Each chain's seed key, ``base_seed:chain``, in chain order."""
@@ -156,7 +162,7 @@ def draw_inclusion_prob(n_included: int, max_bugs: int, rng: np.random.Generator
 
 def update_inclusion(
     state: AugmentedState,
-    campaign: TestCampaign,
+    t_max: int,
     config: ModelConfig,
     rng: np.random.Generator,
     use_likelihood: bool = True,
@@ -166,24 +172,24 @@ def update_inclusion(
     A candidate that was never detected is included with probability
     ``psi * (1 - alpha) / (psi * (1 - alpha) + 1 - psi)``: being real means
     surviving the campaign undetected, which a large (easily seen) candidate
-    almost never does.  Detected candidates stay included.  Updates the
-    state in place and returns it.
+    almost never does.  Detected candidates, ``[:n]``, stay included.
+    Updates the state in place and returns it.
     """
     psi = state.inclusion_prob
-    free = ~state.detected
+    n = state.n_detected
     if use_likelihood:
-        x = _detection_rate(state.size[free], config.size_exponent, campaign.t_max)
+        x = _detection_rate(state.size[n:], config.size_exponent, t_max)
         weight = psi * np.exp(-x)
         q = weight / (weight + (1.0 - psi))
     else:
         q = psi
-    state.include[free] = rng.random(np.count_nonzero(free)) < q
+    state.include[n:] = rng.random(state.max_bugs - n) < q
     return state
 
 
 def update_sizes(
     state: AugmentedState,
-    campaign: TestCampaign,
+    t_max: int,
     config: ModelConfig,
     rng: np.random.Generator,
     use_likelihood: bool = True,
@@ -204,14 +210,14 @@ def update_sizes(
     u = rng.random(state.max_bugs)
     # log(u) < 0 for every u in [0, 1), so a candidate with a flat likelihood
     # takes its proposal for certain: only included candidates are scored
-    # (detected ones are always included)
+    # (the detected ones, always included, are the first n of them)
     scored = np.flatnonzero(state.include)
     if use_likelihood and scored.size:
         cur = state.size[scored]
-        x_cur = _detection_rate(cur, config.size_exponent, campaign.t_max)
-        x_new = _detection_rate(proposal[scored], config.size_exponent, campaign.t_max)
+        x_cur = _detection_rate(cur, config.size_exponent, t_max)
+        x_new = _detection_rate(proposal[scored], config.size_exponent, t_max)
         with np.errstate(divide="ignore"):
-            log_ratio = _detection_loglik_ratio(x_new, x_cur, state.detected[scored])
+            log_ratio = _detection_loglik_ratio(x_new, x_cur, state.n_detected)
             accept = np.log(u[scored]) < log_ratio
         rejected = ~accept
         proposal[scored[rejected]] = cur[rejected]
@@ -268,9 +274,8 @@ def _initial_state(
 ) -> AugmentedState:
     m = model_config.max_bugs
     n = campaign.detected_total
-    detected = np.zeros(m, dtype=bool)
-    detected[:n] = True
-    include = detected | (rng.random(m) < 0.5)
+    include = rng.random(m) < 0.5
+    include[:n] = True
     if sampler_config.fixed_mean_size is not None:
         mean_size = np.full(m, float(sampler_config.fixed_mean_size))
     else:
@@ -278,9 +283,9 @@ def _initial_state(
     r = model_config.dispersion
     size = rng.negative_binomial(r, r / (r + mean_size)).astype(np.int64)
     # a detected bug of size 0 would be undetectable; start those at size 1
-    size = np.maximum(size, detected)
+    size[:n] = np.maximum(size[:n], 1)
     psi = float(rng.random())
-    return AugmentedState(include, size, mean_size, psi, detected)
+    return AugmentedState(include, size, mean_size, psi, n)
 
 
 def run_chain(
@@ -300,47 +305,39 @@ def run_chain(
     """
     m = model_config.max_bugs
     n = campaign.detected_total
+    t_max = campaign.t_max
     if m < n:
         raise ValueError(f"candidate ceiling {m} below detected count {n}")
-    if campaign.t_max < 1:
+    if t_max < 1:
         raise ValueError("no testing effort: every cell has zero test cases")
 
     state = _initial_state(campaign, model_config, sampler_config, rng)
     track = np.array(_resolve_track(sampler_config.track, m), dtype=np.intp)
-    burn_in = sampler_config.effective_burn_in
-    kept = sampler_config.kept_per_chain
-    thin = sampler_config.thin
+    kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
     use_likelihood = sampler_config.use_likelihood
     update_means = sampler_config.fixed_mean_size is None
-    undetected = np.flatnonzero(~state.detected)
 
     names = ["inclusion_prob", "total_bugs", "remaining_size"]
     names += [f"include[{i}]" for i in track]
     names += [f"size[{i}]" for i in track]
     names += [f"mean_size[{i}]" for i in track]
-    # one row per recorded quantity; the tracked candidates fill three row blocks
-    table = np.empty((len(names), kept))
-    tracked_include, tracked_size, tracked_mean = np.split(table[3:], 3)
-    kept_iters = np.empty(kept, dtype=np.int64)
+    # one row per recorded quantity, one column per kept iteration
+    table = np.empty((len(names), len(kept)))
 
     accept_size = 0.0
     accept_mean = 0.0
-    out = 0
     for it in range(sampler_config.iterations):
-        update_inclusion(state, campaign, model_config, rng, use_likelihood)
+        update_inclusion(state, t_max, model_config, rng, use_likelihood)
         state.inclusion_prob = draw_inclusion_prob(state.total_bugs, m, rng)
-        accept_size += update_sizes(state, campaign, model_config, rng, use_likelihood)
+        accept_size += update_sizes(state, t_max, model_config, rng, use_likelihood)
         if update_means:
             accept_mean += update_mean_sizes(state, model_config, rng)
-        if it >= burn_in and (it - burn_in) % thin == 0:
-            kept_iters[out] = it
-            table[0, out] = state.inclusion_prob
-            table[1, out] = state.total_bugs
-            table[2, out] = np.dot(state.size[undetected], state.include[undetected])
-            tracked_include[:, out] = state.include[track]
-            tracked_size[:, out] = state.size[track]
-            tracked_mean[:, out] = state.mean_size[track]
-            out += 1
+        if it in kept:
+            remaining = np.dot(state.size[n:], state.include[n:])
+            table[:, kept.index(it)] = np.concatenate((
+                (state.inclusion_prob, state.total_bugs, remaining),
+                state.include[track], state.size[track], state.mean_size[track],
+            ))
 
     total = float(sampler_config.iterations)
     acceptance = {"size": accept_size / total}
@@ -348,7 +345,6 @@ def run_chain(
         acceptance["mean_size"] = accept_mean / total
     return ChainDraws(
         chain=chain_index,
-        iterations=kept_iters,
         draws=dict(zip(names, table)),
         acceptance=acceptance,
     )

@@ -15,7 +15,6 @@ def make_chainset(arrays_by_param, burn_in=0):
         chains.append(
             ChainDraws(
                 chain=c,
-                iterations=np.arange(burn_in, burn_in + kept, dtype=np.int64),
                 draws={k: np.asarray(v[c], dtype=float) for k, v in arrays_by_param.items()},
                 acceptance={"size": 1.0},
             )

@@ -128,6 +128,52 @@ def test_unwritable_out_dir_is_named(tmp_path, capsys):
     assert err.startswith("bugsize: error: ") and str(blocker) in err
 
 
+def drop_rows(source, target, parameter):
+    """Copy a draws file without the rows of one parameter."""
+    lines = source.read_text().splitlines(keepends=True)
+    target.write_text("".join(l for l in lines if f",{parameter}," not in l))
+    return target
+
+
+@pytest.mark.parametrize("case", ["fit-missing-file", "fit-threads-0", "diagnose-unknown-param",
+                                  "reliability-missing-param", "simulate-empty-grid"])
+def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
+    campaign = small_campaign_file(tmp_path)
+    if case.startswith(("diagnose", "reliability")):
+        _, fitted = run_fit(tmp_path, campaign)
+        partial = drop_rows(fitted / "draws.csv", tmp_path / "partial.csv", "remaining_size")
+    argv = {
+        "fit-missing-file": lambda: ["fit", str(tmp_path / "nope.csv")],
+        "fit-threads-0": lambda: ["fit", str(campaign), "--threads", "0"],
+        "diagnose-unknown-param": lambda: ["diagnose", str(partial), "--params", "nope"],
+        "reliability-missing-param": lambda: ["reliability", str(partial), "--epsilon", "10"],
+        "simulate-empty-grid": lambda: ["simulate", "--missions", "0"],
+    }[case]()
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bugsize: error: ")
+    assert not out.exists()
+
+
+def test_fit_threads_below_one_names_the_flag(tmp_path, capsys):
+    code, _ = run_fit(tmp_path, small_campaign_file(tmp_path), extra=("--threads", "0"))
+    assert code == 1
+    assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_fit_checks_out_dir_before_sampling(tmp_path, capsys, monkeypatch):
+    def must_not_sample(*args):
+        raise AssertionError("sampled before creating --out")
+
+    monkeypatch.setattr(cli, "run_all", must_not_sample)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["fit", str(small_campaign_file(tmp_path)), "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bugsize: error: ") and str(blocker) in err
+
+
 def test_fit_ceiling_below_detections(tmp_path, capsys):
     campaign_path = small_campaign_file(tmp_path)
     code = main(["fit", str(campaign_path), "--max-bugs", "2", "--iters", "50",
@@ -302,7 +348,8 @@ def test_diagnose_malformed_draws(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", str(draws), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{draws}: chain 1 has 99 draws of 'inclusion_prob', chain 0 has 100" in err
+    assert (f"{draws}: chain 1's 99 draws of 'inclusion_prob' are not at the meta line's "
+            "100 iterations range(100, 200)") in err
 
 
 def test_diagnose_non_numeric_draw(tmp_path, capsys):

@@ -102,12 +102,12 @@ def test_draws_round_trip(tmp_path, small_chainset):
     assert loaded.iterations == chainset.iterations
     assert loaded.burn_in == chainset.burn_in
     assert loaded.thin == chainset.thin
+    assert loaded.kept_iterations == chainset.kept_iterations == range(20, 40)
     assert loaded.parameters() == chainset.parameters()
     assert loaded.seed_keys() == chainset.seed_keys() == ["60:0", "60:1", "60:2"]
     for original, parsed in zip(chainset.chains, loaded.chains):
         assert parsed.chain == original.chain
         assert parsed.acceptance == original.acceptance
-        assert np.array_equal(parsed.iterations, original.iterations)
         for name in original.draws:
             assert np.array_equal(parsed.draws[name], original.draws[name])
 
@@ -155,7 +155,6 @@ def test_read_draws_interleaved_rows_match_blocked(tmp_path, small_chainset):
     assert loaded.parameters() == expected.parameters()
     for want, got in zip(expected.chains, loaded.chains):
         assert got.chain == want.chain and got.acceptance == want.acceptance
-        assert np.array_equal(got.iterations, want.iterations)
         assert list(got.draws) == list(want.draws)
         for name in want.draws:
             assert np.array_equal(got.draws[name], want.draws[name])
@@ -194,12 +193,13 @@ def test_read_draws_rejects_short_chain(tmp_path, small_chainset):
     _, _, chainset = small_chainset
     path = tmp_path / "draws.csv"
     write_draws(chainset, path)
-    last = chainset.chains[1].iterations[-1]
+    last = chainset.kept_iterations[-1]
     lines = [l for l in path.read_text().splitlines() if not l.startswith(f"1,{last},")]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         read_draws(path)
-    assert str(err.value) == f"{path}: chain 1 has 19 draws of 'inclusion_prob', chain 0 has 20"
+    assert str(err.value) == (f"{path}: chain 1's 19 draws of 'inclusion_prob' are not at the "
+                              "meta line's 20 iterations range(20, 40)")
 
 
 def test_read_draws_rejects_missing_parameter(tmp_path, small_chainset):
@@ -214,6 +214,51 @@ def test_read_draws_rejects_missing_parameter(tmp_path, small_chainset):
     with pytest.raises(ValueError) as err:
         read_draws(path)
     assert str(err.value) == f"{path}: chain 2 has no draws of 'total_bugs'"
+
+
+def test_read_draws_rejects_missing_chain(tmp_path, small_chainset):
+    _, _, chainset = small_chainset
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith("2,")) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}: holds draws of 2 chains, its meta line counts 3"
+    # a header and no draw rows at all
+    at = lines.index("chain,iteration,parameter,value") + 1
+    path.write_text("\n".join(lines[:at]) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}: holds draws of 0 chains, its meta line counts 3"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("# meta chains=3 iterations=40 burn_in=20 thin=1 base_seed=60\n", "",
+         "no '# meta' line gives chains, iterations, burn_in, thin, base_seed"),
+        (" base_seed=60", "", "no '# meta' line gives base_seed"),
+        ("thin=1", "thin=0", "meta thin must be >= 1, got 0"),
+        ("burn_in=20", "burn_in=10",
+         "chain 0's 20 draws of 'inclusion_prob' are not at the meta line's "
+         "30 iterations range(10, 40)"),
+        ("\n0,25,total_bugs,", "\n0,26,total_bugs,",
+         "chain 0's 20 draws of 'total_bugs' are not at the meta line's "
+         "20 iterations range(20, 40)"),
+    ],
+    ids=["no-meta-line", "no-base-seed", "thin-0", "other-burn-in", "off-grid-row"],
+)
+def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old, new, message):
+    _, _, chainset = small_chainset
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -72,14 +72,24 @@ def test_model_config_rejects_non_finite_or_non_positive(field, value):
 
 
 def test_augmented_state_validation():
-    state = AugmentedState(
-        include=np.array([True, False]),
-        size=np.array([3, 0], dtype=np.int64),
-        mean_size=np.array([2.0, 2.0]),
-        inclusion_prob=0.4,
-        detected=np.array([True, False]),
-    )
-    assert state.total_bugs == 1
+    def state(include, n_detected):
+        return AugmentedState(
+            include=np.array(include),
+            size=np.array([3, 0], dtype=np.int64),
+            mean_size=np.array([2.0, 2.0]),
+            inclusion_prob=0.4,
+            n_detected=n_detected,
+        )
+
+    assert state([True, False], 1).total_bugs == 1
+    assert state([False, False], 0).total_bugs == 0
+    assert state([True, True], 2).n_detected == 2
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^detected count {n} outside \[0, max_bugs=2\]$"):
+            state([True, True], n)
+    # candidates [:n] are the detected ones, and a detected candidate is real
+    with pytest.raises(ValueError, match="^every detected candidate must be included$"):
+        state([False, True], 1)
 
 
 # ------------------------------------------------------ cell probabilities
