@@ -32,7 +32,7 @@ for name in ("inclusion_prob", "total_bugs", "remaining_size"):
 print()
 print("=== convergence ===")
 print(f"{'parameter':<15} {'R-hat':>8} {'upper':>8} {'ESS':>10}")
-for name in report.parameters:
+for name in report:
     s = report[name]
     print(f"{name:<15} {s.rhat:8.4f} {s.rhat_upper:8.4f} {s.ess:10.1f}")
 
@@ -40,4 +40,4 @@ bugs = report["total_bugs"]
 print()
 print(f"truth: {truth.true_bugs} bugs; posterior mean {bugs.pooled_mean:.2f}, "
       f"95% CI [{bugs.ci_lower:.0f}, {bugs.ci_upper:.0f}]")
-print(f"acceptance rates, chain 0: {chainset.chains[0].acceptance}")
+print(f"acceptance rates, chain 0: {chainset.acceptance[0]}")

@@ -24,5 +24,5 @@ for nu, seed in zip([1.0, 1.25, 1.5], [99, 100, 101]):
 print()
 print("tracked per-bug posteriors for the last setting (prior mean is 100):")
 for prefix in ("mean_size[", "size["):
-    for name in sorted(p for p in report.parameters if p.startswith(prefix)):
+    for name in sorted(p for p in report if p.startswith(prefix)):
         print(f"  {name:<16} {report[name].pooled_mean:8.3f}")

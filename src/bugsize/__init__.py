@@ -17,11 +17,11 @@ from .dataio import (
     write_report,
 )
 from .diagnostics import (
-    PosteriorReport,
     effective_sample_size,
     split_rhat,
     summarize,
     trace_export,
+    worst_rhat,
 )
 from .model import (
     AugmentedState,
@@ -34,7 +34,6 @@ from .model import (
 )
 from .reliability import chain_reliability, reliability_at, reliability_curve
 from .sampler import (
-    ChainDraws,
     ChainSet,
     SamplerConfig,
     draw_inclusion_prob,
@@ -50,11 +49,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedState",
-    "ChainDraws",
     "ChainSet",
     "GroundTruth",
     "ModelConfig",
-    "PosteriorReport",
     "SamplerConfig",
     "TestCampaign",
     "build_report",
@@ -78,6 +75,7 @@ __all__ = [
     "update_inclusion",
     "update_mean_sizes",
     "update_sizes",
+    "worst_rhat",
     "write_campaign",
     "write_draws",
     "write_report",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataio, diagnostics, reliability, simulate
 from .model import ModelConfig
-from .sampler import SamplerConfig, run_all
+from .sampler import SamplerConfig, _check_campaign, run_all
 
 __all__ = ["main", "entry"]
 
@@ -162,6 +162,7 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         workers=_fit_workers(args.threads, args.chains),
     )
+    _check_campaign(campaign, model_config)
     out = _out_dir(args)
     chainset = run_all(campaign, model_config, sampler_config)
     report = diagnostics.summarize(chainset)
@@ -171,7 +172,7 @@ def cmd_fit(args) -> int:
 
     bugs = report["total_bugs"]
     psi = report["inclusion_prob"]
-    worst_name, worst_rhat = report.worst_rhat()
+    worst_name, worst_rhat = diagnostics.worst_rhat(report)
     print(f"detected bugs: {campaign.detected_total}   candidates: {args.max_bugs}")
     print(
         f"total bugs:     mean {bugs.pooled_mean:.4f}   "
@@ -219,7 +220,7 @@ def cmd_diagnose(args) -> int:
     chainset = dataio.read_draws(args.draws)
     if chainset.n_chains < 2:
         raise ValueError("need >=2 chains for convergence diagnostics")
-    names = chainset.parameters()
+    names = chainset.names
     if args.params is not None:
         wanted = [tok.strip() for tok in args.params.split(",") if tok.strip()]
         unknown = [name for name in wanted if name not in names]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import CREDIBLE_MASS
 from .model import TestCampaign
-from .sampler import ChainDraws, ChainSet
+from .sampler import ChainSet
 
 __all__ = [
     "read_campaign",
@@ -32,6 +32,7 @@ __all__ = [
 
 CAMPAIGN_FIELDS = ["mission", "phase", "test_cases", "bugs_detected"]
 DRAWS_STAMP = "# bugsize-draws-v1"
+DRAWS_HEADER = "chain,iteration,parameter,value"
 META_FIELDS = ("chains", "iterations", "burn_in", "thin", "base_seed")
 REPORT_FORMAT = "bugsize-report-v2"
 TRUTH_FORMAT = "bugsize-truth-v1"
@@ -100,7 +101,7 @@ def write_campaign(campaign: TestCampaign, path) -> None:
             lines.append(
                 f"M{j + 1},{k + 1},{campaign.test_cases[j, k]},{campaign.bugs_detected[j, k]}"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def write_draws(chainset: ChainSet, path) -> None:
@@ -115,36 +116,36 @@ def write_draws(chainset: ChainSet, path) -> None:
         f"# meta chains={chainset.n_chains} iterations={chainset.iterations} "
         f"burn_in={chainset.burn_in} thin={chainset.thin} base_seed={chainset.base_seed}"
     )
-    for chain, seed_key in zip(chainset.chains, chainset.seed_keys()):
-        acc = " ".join(f"{k}={repr(float(v))}" for k, v in chain.acceptance.items())
-        lines.append(f"# chain {chain.chain} seed={seed_key} acceptance {acc}".rstrip())
-    lines.append("chain,iteration,parameter,value")
-    for chain in chainset.chains:
-        heads = [f"{chain.chain},{it}," for it in chainset.kept_iterations]
-        for name, values in chain.draws.items():
-            # Python floats, so repr writes the shortest round-tripping digits
-            values = np.asarray(values, dtype=float).tolist()
-            lines.extend([f"{head}{name},{v!r}" for head, v in zip(heads, values)])
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    for c, (acceptance, seed_key) in enumerate(zip(chainset.acceptance, chainset.seed_keys())):
+        acc = " ".join(f"{k}={repr(float(v))}" for k, v in acceptance.items())
+        lines.append(f"# chain {c} seed={seed_key} acceptance {acc}".rstrip())
+    lines.append(DRAWS_HEADER)
+    for c, table in enumerate(chainset.draws):
+        heads = [f"{c},{it}," for it in chainset.kept_iterations]
+        for name, values in zip(chainset.names, table):
+            # tolist gives Python floats, so repr writes the shortest round-tripping digits
+            lines.extend([f"{head}{name},{v!r}" for head, v in zip(heads, values.tolist())])
+    _write_lines(path, lines)
 
 
 def read_draws(path) -> ChainSet:
     """Read a stamped draws CSV back into a chain set.
 
     Rejects files whose version stamp does not match what this reader
-    understands, and files without a complete ``# meta`` line.  Every chain
-    that line counts must hold draws of the same parameters, each at exactly
-    the kept iterations ``range(burn_in, iterations, thin)`` it gives.  A
+    understands, and files without a complete ``# meta`` line.  The
+    ``# chain`` lines must name chains ``0..chains-1`` in order.  Rows must
+    come in the order ``write_draws`` gives them: chain ``0..chains-1``,
+    then parameter (chain 0's blocks name the parameters), then the kept
+    iterations ``range(burn_in, iterations, thin)`` of the meta line.  A
     chain's ``seed=`` token is skipped: the seed key follows from the base
     seed and the chain id.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     stamp = lines[0].strip() if lines else "<empty>"
     if stamp != DRAWS_STAMP:
         raise ValueError(f"{path}: version stamp {stamp!r} does not match {DRAWS_STAMP!r}")
     meta = {}
-    chain_acceptance: dict[int, dict[str, float]] = {}
+    acceptance: list[dict[str, float]] = []
     header_at = None
     for idx, line in enumerate(lines[1:], start=1):
         where = f"{path}:{idx + 1}"
@@ -157,11 +158,14 @@ def read_draws(path) -> ChainSet:
             if not tokens:
                 raise ValueError(f"{where}: chain line names no chain")
             chain_id = _parse_token(int, tokens[0], where, f"chain id {tokens[0]!r}", "an integer")
-            acceptance = chain_acceptance[chain_id] = {}
+            if chain_id != len(acceptance):
+                raise ValueError(f"{where}: expected '# chain {len(acceptance)}', "
+                                 f"got chain {chain_id}")
+            acceptance.append({})
             for token in tokens[1:]:
                 if "=" in token and not token.startswith("seed="):
                     k, _, v = token.partition("=")
-                    acceptance[k] = _parse_token(
+                    acceptance[-1][k] = _parse_token(
                         float, v, where, f"acceptance {token!r}", "a number"
                     )
         elif line.startswith("#"):
@@ -169,7 +173,7 @@ def read_draws(path) -> ChainSet:
         else:
             header_at = idx
             break
-    if header_at is None or lines[header_at] != "chain,iteration,parameter,value":
+    if header_at is None or lines[header_at] != DRAWS_HEADER:
         raise ValueError(f"{path}: missing draw header row")
     missing = [key for key in META_FIELDS if key not in meta]
     if missing:
@@ -177,60 +181,59 @@ def read_draws(path) -> ChainSet:
     if meta["thin"] < 1:
         raise ValueError(f"{path}: meta thin must be >= 1, got {meta['thin']}")
     kept = range(meta["burn_in"], meta["iterations"], meta["thin"])
-    grid = list(kept)
+    if not kept:
+        raise ValueError(f"{path}: the meta line keeps no iterations: {kept!r}")
+    if len(acceptance) != meta["chains"]:
+        raise ValueError(f"{path}: has {len(acceptance)} '# chain' lines, "
+                         f"its meta line counts {meta['chains']} chains")
 
-    # chain id -> parameter -> (iterations, values), in order of first appearance
-    per_chain: dict[int, dict[str, tuple[list[int], list[float]]]] = {}
-    run_chain = run_name = None
-    # one try around the whole loop: a well-formed file pays nothing per row
+    while not lines[-1]:  # trailing blank lines are not rows
+        lines.pop()
+    start = header_at + 1
+    # one block of len(kept) rows per parameter; chain 0's blocks name them
+    head = f"0,{kept.start},"
+    names = []
+    for row in lines[start :: len(kept)]:
+        if not row.startswith(head):
+            break
+        names.append(row[len(head) :].partition(",")[0])
+    if acceptance and not names:
+        _unexpected(path, lines, start, f"a row starting {head!r}")
+    draws = np.empty((len(acceptance), len(names), len(kept)))
+    for c in range(len(acceptance)):
+        its = [f"{c},{it}," for it in kept]
+        for p, name in enumerate(names):
+            at = start + (c * len(names) + p) * len(kept)
+            draws[c, p] = _block_values(path, lines, at, [f"{h}{name}," for h in its])
+    if len(lines) > start + draws.size:
+        _unexpected(path, lines, start + draws.size, "the end of the draws")
     try:
-        for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
-            if not line:
-                continue
-            chain_s, it_s, name, value_s = line.split(",", 3)
-            # rows come in runs sharing (chain, parameter); look the run up once
-            if name != run_name or chain_s != run_chain:
-                iters, values = per_chain.setdefault(int(chain_s), {}).setdefault(
-                    name, ([], [])
-                )
-                run_chain, run_name = chain_s, name
-            values.append(float(value_s))
-            iters.append(int(it_s))
-    except ValueError:
-        fields = line.count(",") + 1
-        if fields < 4:
-            raise ValueError(
-                f"{path}:{lineno}: expected 4 fields (chain,iteration,parameter,value), "
-                f"got {fields}"
-            ) from None
-        raise ValueError(
-            f"{path}:{lineno}: chain and iteration must be integers and value a number, "
-            f"got {line!r}"
-        ) from None
+        return ChainSet(names=names, draws=draws, acceptance=acceptance,
+                        base_seed=meta["base_seed"], iterations=meta["iterations"],
+                        burn_in=meta["burn_in"], thin=meta["thin"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
-    if len(per_chain) != meta["chains"]:
-        raise ValueError(f"{path}: holds draws of {len(per_chain)} chains, "
-                         f"its meta line counts {meta['chains']}")
-    names = dict.fromkeys(name for columns in per_chain.values() for name in columns)
-    chains = []
-    for chain_id in sorted(per_chain):
-        columns = per_chain[chain_id]
-        for name in names:
-            if name not in columns:
-                raise ValueError(f"{path}: chain {chain_id} has no draws of {name!r}")
-            iters = columns[name][0]
-            if iters != grid:
-                raise ValueError(f"{path}: chain {chain_id}'s {len(iters)} draws of {name!r} are "
-                                 f"not at the meta line's {len(grid)} iterations {kept!r}")
-        draws = {name: np.array(vals) for name, (_, vals) in columns.items()}
-        chains.append(ChainDraws(chain_id, draws, chain_acceptance.get(chain_id, {})))
-    return ChainSet(
-        chains=chains,
-        base_seed=meta["base_seed"],
-        iterations=meta["iterations"],
-        burn_in=meta["burn_in"],
-        thin=meta["thin"],
-    )
+
+def _block_values(path, lines: list[str], at: int, heads: list[str]) -> list[float]:
+    """Values of the rows from ``lines[at]`` on, each its head then a number."""
+    block = lines[at : at + len(heads)]
+    if len(block) == len(heads) and all(map(str.startswith, block, heads)):
+        try:
+            return list(map(float, map(str.removeprefix, block, heads)))
+        except ValueError:
+            pass
+    # name the first row at fault
+    for i, head in enumerate(heads, start=at):
+        if i >= len(lines) or not lines[i].startswith(head):
+            _unexpected(path, lines, i, f"a row starting {head!r}")
+        _parse_token(float, lines[i][len(head) :], f"{path}:{i + 1}",
+                     f"the value of row {lines[i]!r}", "a number")
+
+
+def _unexpected(path, lines: list[str], i: int, expected: str):
+    got = repr(lines[i]) if i < len(lines) else "the end of the file"
+    raise ValueError(f"{path}:{i + 1}: expected {expected}, got {got}")
 
 
 def _parse_token(kind, text: str, where: str, what: str, expected: str):
@@ -255,7 +258,7 @@ def _jsonable(value):
     return value
 
 
-def build_report(report, chainset: ChainSet, model_config) -> dict:
+def build_report(report: dict, chainset: ChainSet, model_config) -> dict:
     """Assemble the JSON report document.
 
     Carries per-chain and pooled summaries, convergence diagnostics, the
@@ -278,7 +281,7 @@ def build_report(report, chainset: ChainSet, model_config) -> dict:
             "base": chainset.base_seed,
             "chains": chainset.seed_keys(),
         },
-        "acceptance": {str(c.chain): dict(c.acceptance) for c in chainset.chains},
+        "acceptance": {str(c): dict(acc) for c, acc in enumerate(chainset.acceptance)},
         "kept_per_chain": chainset.kept_per_chain,
         "credible_mass": CREDIBLE_MASS,
         "parameters": {
@@ -292,7 +295,7 @@ def build_report(report, chainset: ChainSet, model_config) -> dict:
                 "rhat_upper": s.rhat_upper,
                 "ess": s.ess,
             }
-            for name, s in report.parameters.items()
+            for name, s in report.items()
         },
     }
 
@@ -301,8 +304,7 @@ def write_report(doc: dict, path) -> None:
     """Write a report document as deterministic, sorted-key JSON."""
     if "format" not in doc:
         raise ValueError("report document must carry a format stamp")
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, [json.dumps(_jsonable(doc), indent=2, sort_keys=True)])
 
 
 def write_trace(records, path) -> None:
@@ -310,7 +312,7 @@ def write_trace(records, path) -> None:
     lines = ["chain,iteration,value"]
     for chain, iteration, value in records:
         lines.append(f"{chain},{iteration},{repr(float(value))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def write_reliability_curve(curve, path) -> None:
@@ -318,4 +320,9 @@ def write_reliability_curve(curve, path) -> None:
     lines = ["epsilon,probability"]
     for epsilon, probability in curve:
         lines.append(f"{repr(float(epsilon))},{repr(float(probability))}")
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by an LF."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

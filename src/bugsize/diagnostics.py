@@ -17,10 +17,10 @@ from .sampler import ChainSet
 
 __all__ = [
     "ParameterSummary",
-    "PosteriorReport",
     "split_rhat",
     "effective_sample_size",
     "summarize",
+    "worst_rhat",
     "trace_export",
 ]
 
@@ -155,23 +155,14 @@ class ParameterSummary:
     ess: float
 
 
-@dataclass
-class PosteriorReport:
-    """Summaries for every tracked parameter of a chain set."""
+def worst_rhat(report: dict[str, ParameterSummary]) -> tuple[str, float]:
+    """Parameter with the largest split scale reduction factor in a summary table.
 
-    parameters: dict[str, ParameterSummary]
-
-    def __getitem__(self, name: str) -> ParameterSummary:
-        return self.parameters[name]
-
-    def worst_rhat(self) -> tuple[str, float]:
-        """Parameter with the largest split scale reduction factor.
-
-        The first parameter whose factor could not be computed (nan) ranks
-        above every finite one, so an unchecked fit never reads as converged.
-        """
-        name = max(self.parameters, key=lambda p: (np.isnan(self[p].rhat), self[p].rhat))
-        return name, self[name].rhat
+    The first parameter whose factor could not be computed (nan) ranks
+    above every finite one, so an unchecked fit never reads as converged.
+    """
+    name = max(report, key=lambda p: (np.isnan(report[p].rhat), report[p].rhat))
+    return name, report[name].rhat
 
 
 def _coefficient_of_variation(mean: float, sd: float) -> float:
@@ -180,8 +171,8 @@ def _coefficient_of_variation(mean: float, sd: float) -> float:
     return 0.0 if sd == 0.0 else float("nan")
 
 
-def summarize(chainset: ChainSet) -> PosteriorReport:
-    """Posterior summary table over all tracked parameters.
+def summarize(chainset: ChainSet) -> dict[str, ParameterSummary]:
+    """Posterior summary table over all tracked parameters, keyed by name.
 
     Per chain: mean, standard deviation and coefficient of variation (in
     percent).  Pooled: the draw-count-weighted mean of the chain means and
@@ -193,7 +184,7 @@ def summarize(chainset: ChainSet) -> PosteriorReport:
         raise ValueError("no kept draws to summarize")
     tail = round((1.0 - CREDIBLE_MASS) / 2.0, 12)
     summaries: dict[str, ParameterSummary] = {}
-    for name in chainset.parameters():
+    for name in chainset.names:
         x = chainset.matrix(name)
         chain_means = x.mean(axis=1)
         chain_sds = x.std(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(x.shape[0])
@@ -221,7 +212,7 @@ def summarize(chainset: ChainSet) -> PosteriorReport:
             rhat_upper=float(upper),
             ess=float(ess),
         )
-    return PosteriorReport(parameters=summaries)
+    return summaries
 
 
 def trace_export(chainset: ChainSet, parameter: str) -> list[tuple[int, int, float]]:
@@ -230,7 +221,7 @@ def trace_export(chainset: ChainSet, parameter: str) -> list[tuple[int, int, flo
     Ordered by chain then iteration; ready for any plotting tool.
     """
     return [
-        (chain.chain, it, value)
-        for chain, values in zip(chainset.chains, chainset.matrix(parameter))
-        for it, value in zip(chainset.kept_iterations, values.tolist())
+        (c, it, value)
+        for c, values in enumerate(chainset.matrix(parameter).tolist())
+        for it, value in zip(chainset.kept_iterations, values)
     ]

@@ -46,11 +46,8 @@ def chain_reliability(chainset: ChainSet, epsilon: float) -> list[float]:
     """Per-chain reliability estimates at one threshold, for stability checks."""
     _check_threshold(epsilon)
     _remaining_draws(chainset)
-    out = []
-    for chain in chainset.chains:
-        r = chain.draws["remaining_size"]
-        out.append(float(np.count_nonzero(r < epsilon) / r.size))
-    return out
+    r = chainset.matrix("remaining_size")
+    return (np.count_nonzero(r < epsilon, axis=1) / r.shape[1]).tolist()
 
 
 def reliability_curve(chainset: ChainSet, epsilons) -> list[tuple[float, float]]:

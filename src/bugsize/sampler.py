@@ -39,7 +39,6 @@ from .model import (
 
 __all__ = [
     "SamplerConfig",
-    "ChainDraws",
     "ChainSet",
     "draw_inclusion_prob",
     "update_inclusion",
@@ -91,33 +90,38 @@ class SamplerConfig:
     def effective_burn_in(self) -> int:
         return self.iterations // 2 if self.burn_in is None else self.burn_in
 
-    @property
-    def kept_per_chain(self) -> int:
-        return len(range(self.effective_burn_in, self.iterations, self.thin))
-
-
-@dataclass
-class ChainDraws:
-    """Kept draws and bookkeeping for a single chain."""
-
-    chain: int
-    draws: dict[str, np.ndarray]
-    acceptance: dict[str, float]
-
 
 @dataclass
 class ChainSet:
-    """Kept draws from independent chains, all at ``kept_iterations``, and their run settings."""
+    """Kept draws from independent chains, all at ``kept_iterations``, and their run settings.
 
-    chains: list[ChainDraws]
+    ``draws[c, p, k]`` is chain ``c``'s draw of parameter ``names[p]`` at
+    iteration ``kept_iterations[k]``: a float array of shape (chains,
+    parameters, kept), in the order the draws file lists it.  A chain's id
+    is its position, and ``acceptance[c]`` holds chain ``c``'s acceptance
+    rates.
+    """
+
+    names: list[str]
+    draws: np.ndarray
+    acceptance: list[dict[str, float]]
     base_seed: int
     iterations: int
     burn_in: int
     thin: int
 
+    def __post_init__(self):
+        shape = (len(self.acceptance), len(self.names), self.kept_per_chain)
+        if self.draws.shape != shape:
+            raise ValueError(f"draws of shape {self.draws.shape}; (chains, parameters, kept) "
+                             f"is {shape}")
+        if len(set(self.names)) != len(self.names):
+            repeat = next(name for i, name in enumerate(self.names) if name in self.names[:i])
+            raise ValueError(f"parameter {repeat!r} repeats")
+
     @property
     def n_chains(self) -> int:
-        return len(self.chains)
+        return len(self.acceptance)
 
     @property
     def kept_iterations(self) -> range:
@@ -129,19 +133,15 @@ class ChainSet:
 
     def seed_keys(self) -> list[str]:
         """Each chain's seed key, ``base_seed:chain``, in chain order."""
-        return [f"{self.base_seed}:{c.chain}" for c in self.chains]
-
-    def parameters(self) -> list[str]:
-        """Tracked parameter names, in recording order."""
-        return list(self.chains[0].draws.keys()) if self.chains else []
+        return [f"{self.base_seed}:{c}" for c in range(self.n_chains)]
 
     def matrix(self, parameter: str) -> np.ndarray:
-        """Draws for one parameter as a (chains, kept) array."""
+        """Draws for one parameter as a (chains, kept) view."""
         try:
-            return np.stack([c.draws[parameter] for c in self.chains])
-        except KeyError:
+            return self.draws[:, self.names.index(parameter)]
+        except ValueError:
             raise KeyError(
-                f"unknown parameter {parameter!r}; tracked: {', '.join(self.parameters())}"
+                f"unknown parameter {parameter!r}; tracked: {', '.join(self.names)}"
             ) from None
 
     def pooled(self, parameter: str) -> np.ndarray:
@@ -263,7 +263,24 @@ def _resolve_track(track: tuple[int, ...] | None, max_bugs: int) -> tuple[int, .
     for i in track:
         if not 0 <= i < max_bugs:
             raise ValueError(f"tracked candidate index {i} out of range for max_bugs={max_bugs}")
+    if len(set(track)) != len(track):
+        raise ValueError(f"tracked candidate indices repeat: {tuple(track)}")
     return tuple(track)
+
+
+def _draw_names(track) -> list[str]:
+    """Recorded quantities, in the order of ``run_chain``'s table rows."""
+    names = ["inclusion_prob", "total_bugs", "remaining_size"]
+    return names + [f"{key}[{i}]" for key in ("include", "size", "mean_size") for i in track]
+
+
+def _check_campaign(campaign: TestCampaign, model_config: ModelConfig) -> None:
+    """Reject a campaign that the model under ``model_config`` cannot fit."""
+    if model_config.max_bugs < campaign.detected_total:
+        raise ValueError(f"candidate ceiling {model_config.max_bugs} below detected count "
+                         f"{campaign.detected_total}")
+    if campaign.t_max < 1:
+        raise ValueError("no testing effort: every cell has zero test cases")
 
 
 def _initial_state(
@@ -292,37 +309,30 @@ def run_chain(
     campaign: TestCampaign,
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
-    chain_index: int,
     rng: np.random.Generator,
-) -> ChainDraws:
-    """Run a single chain and return its kept draws.
+) -> tuple[np.ndarray, dict[str, float]]:
+    """Run a single chain; return its kept draws and its acceptance rates.
 
     Starts are dispersed: detected candidates included, the rest coin flips,
     and sizes, size means and the inclusion probability drawn from their
     priors.  Always records the inclusion probability, the included-bug
     count and the remaining (included-but-undetected) total size, plus
-    inclusion, size and size-mean trajectories for the tracked candidates.
+    inclusion, size and size-mean trajectories for the tracked candidates:
+    one table row per ``_draw_names(track)`` entry, one column per kept
+    iteration.
     """
+    _check_campaign(campaign, model_config)
     m = model_config.max_bugs
     n = campaign.detected_total
     t_max = campaign.t_max
-    if m < n:
-        raise ValueError(f"candidate ceiling {m} below detected count {n}")
-    if t_max < 1:
-        raise ValueError("no testing effort: every cell has zero test cases")
 
-    state = _initial_state(campaign, model_config, sampler_config, rng)
     track = np.array(_resolve_track(sampler_config.track, m), dtype=np.intp)
+    state = _initial_state(campaign, model_config, sampler_config, rng)
     kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
     use_likelihood = sampler_config.use_likelihood
     update_means = sampler_config.fixed_mean_size is None
 
-    names = ["inclusion_prob", "total_bugs", "remaining_size"]
-    names += [f"include[{i}]" for i in track]
-    names += [f"size[{i}]" for i in track]
-    names += [f"mean_size[{i}]" for i in track]
-    # one row per recorded quantity, one column per kept iteration
-    table = np.empty((len(names), len(kept)))
+    table = np.empty((len(_draw_names(track)), len(kept)))
 
     accept_size = 0.0
     accept_mean = 0.0
@@ -343,11 +353,7 @@ def run_chain(
     acceptance = {"size": accept_size / total}
     if update_means:
         acceptance["mean_size"] = accept_mean / total
-    return ChainDraws(
-        chain=chain_index,
-        draws=dict(zip(names, table)),
-        acceptance=acceptance,
-    )
+    return table, acceptance
 
 
 def _run_chain_job(
@@ -356,11 +362,10 @@ def _run_chain_job(
     sampler_config: SamplerConfig,
     chain_index: int,
     seed_seq: np.random.SeedSequence,
-) -> ChainDraws:
+) -> tuple[np.ndarray, dict[str, float]]:
     """Run one chain from its seed; name the chain in any error but an input error."""
     try:
-        rng = np.random.default_rng(seed_seq)
-        return run_chain(campaign, model_config, sampler_config, chain_index, rng)
+        return run_chain(campaign, model_config, sampler_config, np.random.default_rng(seed_seq))
     except ValueError:
         raise
     except Exception as exc:
@@ -398,10 +403,10 @@ def run_all(
             chains = list(pool.map(job, range(n), seqs))
     else:
         chains = list(map(job, range(n), seqs))
+    tables, acceptance = zip(*chains)
     return ChainSet(
-        chains=chains,
-        base_seed=sampler_config.seed,
-        iterations=sampler_config.iterations,
-        burn_in=sampler_config.effective_burn_in,
-        thin=sampler_config.thin,
+        names=_draw_names(_resolve_track(sampler_config.track, model_config.max_bugs)),
+        draws=np.stack(tables), acceptance=list(acceptance),
+        base_seed=sampler_config.seed, iterations=sampler_config.iterations,
+        burn_in=sampler_config.effective_burn_in, thin=sampler_config.thin,
     )

@@ -30,7 +30,6 @@ class GroundTruth:
     the campaign missed it.
     """
 
-    max_bugs: int
     size: np.ndarray
     mean_size: np.ndarray
     cell: np.ndarray
@@ -38,13 +37,6 @@ class GroundTruth:
     @property
     def true_bugs(self) -> int:
         return int(self.size.shape[0])
-
-    @property
-    def include(self) -> np.ndarray:
-        """Length-``max_bugs`` real-bug indicators (real bugs come first)."""
-        z = np.zeros(self.max_bugs, dtype=bool)
-        z[: self.true_bugs] = True
-        return z
 
     @property
     def detected_total(self) -> int:
@@ -116,7 +108,5 @@ def generate_campaign(
         missions, phases
     )
     campaign = TestCampaign(test_cases=test_cases, bugs_detected=counts)
-    truth = GroundTruth(
-        max_bugs=model_config.max_bugs, size=size, mean_size=mean_size, cell=cell
-    )
+    truth = GroundTruth(size=size, mean_size=mean_size, cell=cell)
     return campaign, truth

@@ -3,24 +3,18 @@
 import numpy as np
 from scipy import signal
 
-from bugsize.sampler import ChainDraws, ChainSet
+from bugsize.sampler import ChainSet
 
 
 def make_chainset(arrays_by_param, burn_in=0):
     """Build a ChainSet directly from {param: (chains, kept) array}."""
-    first = next(iter(arrays_by_param.values()))
-    n_chains, kept = first.shape
-    chains = []
-    for c in range(n_chains):
-        chains.append(
-            ChainDraws(
-                chain=c,
-                draws={k: np.asarray(v[c], dtype=float) for k, v in arrays_by_param.items()},
-                acceptance={"size": 1.0},
-            )
-        )
+    draws = np.stack([np.asarray(v, dtype=float) for v in arrays_by_param.values()], axis=1)
+    n_chains, _, kept = draws.shape
     return ChainSet(
-        chains=chains, base_seed=0, iterations=burn_in + kept, burn_in=burn_in, thin=1
+        names=list(arrays_by_param),
+        draws=draws,
+        acceptance=[{"size": 1.0} for _ in range(n_chains)],
+        base_seed=0, iterations=burn_in + kept, burn_in=burn_in, thin=1,
     )
 
 

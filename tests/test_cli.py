@@ -135,16 +135,22 @@ def drop_rows(source, target, parameter):
     return target
 
 
-@pytest.mark.parametrize("case", ["fit-missing-file", "fit-threads-0", "diagnose-unknown-param",
+@pytest.mark.parametrize("case", ["fit-missing-file", "fit-threads-0", "fit-low-ceiling",
+                                  "fit-no-effort", "diagnose-unknown-param",
                                   "reliability-missing-param", "simulate-empty-grid"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     campaign = small_campaign_file(tmp_path)
     if case.startswith(("diagnose", "reliability")):
         _, fitted = run_fit(tmp_path, campaign)
         partial = drop_rows(fitted / "draws.csv", tmp_path / "partial.csv", "remaining_size")
+    if case == "fit-no-effort":
+        write_campaign(TestCampaign(test_cases=[[0, 0]], bugs_detected=[[0, 0]]), campaign)
     argv = {
         "fit-missing-file": lambda: ["fit", str(tmp_path / "nope.csv")],
         "fit-threads-0": lambda: ["fit", str(campaign), "--threads", "0"],
+        # the sampler's own input checks run before --out is made
+        "fit-low-ceiling": lambda: ["fit", str(campaign), "--max-bugs", "4"],
+        "fit-no-effort": lambda: ["fit", str(campaign)],
         "diagnose-unknown-param": lambda: ["diagnose", str(partial), "--params", "nope"],
         "reliability-missing-param": lambda: ["reliability", str(partial), "--epsilon", "10"],
         "simulate-empty-grid": lambda: ["simulate", "--missions", "0"],
@@ -343,13 +349,15 @@ def test_diagnose_malformed_draws(tmp_path, capsys):
     code, out = run_fit(tmp_path, small_campaign_file(tmp_path))
     assert code == 0
     draws = out / "draws.csv"
-    lines = draws.read_text().splitlines()
-    draws.write_text("\n".join(l for l in lines if not l.startswith("1,199,")) + "\n")
+    lines = [l for l in draws.read_text().splitlines() if not l.startswith("1,199,")]
+    draws.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["diagnose", str(draws), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert (f"{draws}: chain 1's 99 draws of 'inclusion_prob' are not at the meta line's "
-            "100 iterations range(100, 200)") in err
+    # chain 1's first block ends a row early, so its next block starts too soon
+    at = next(i for i, l in enumerate(lines) if l.startswith("1,100,total_bugs,"))
+    assert (f"bugsize: error: {draws}:{at + 1}: expected a row starting "
+            f"'1,199,inclusion_prob,', got {lines[at]!r}") in err
 
 
 def test_diagnose_non_numeric_draw(tmp_path, capsys):
@@ -363,7 +371,8 @@ def test_diagnose_non_numeric_draw(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", str(draws), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"bugsize: error: {draws}:{at + 1}: chain and iteration must be integers" in err
+    assert (f"bugsize: error: {draws}:{at + 1}: the value of row '1,150,total_bugs,abc' "
+            "must be a number") in err
 
 
 def test_reliability_malformed_comment_line(tmp_path, capsys):

@@ -93,6 +93,19 @@ def test_read_campaign_errors(tmp_path):
 
 # --------------------------------------------------------------- draws CSV
 
+def written_lines(tmp_path, chainset):
+    """Write a chain set's draws file; return its path and its lines."""
+    path = tmp_path / "draws.csv"
+    write_draws(chainset, path)
+    return path, path.read_text().splitlines()
+
+
+def rejection(path) -> str:
+    with pytest.raises(ValueError) as err:
+        read_draws(path)
+    return str(err.value)
+
+
 def test_draws_round_trip(tmp_path, small_chainset):
     _, _, chainset = small_chainset
     path = tmp_path / "draws.csv"
@@ -103,13 +116,14 @@ def test_draws_round_trip(tmp_path, small_chainset):
     assert loaded.burn_in == chainset.burn_in
     assert loaded.thin == chainset.thin
     assert loaded.kept_iterations == chainset.kept_iterations == range(20, 40)
-    assert loaded.parameters() == chainset.parameters()
+    assert loaded.names == chainset.names
     assert loaded.seed_keys() == chainset.seed_keys() == ["60:0", "60:1", "60:2"]
-    for original, parsed in zip(chainset.chains, loaded.chains):
-        assert parsed.chain == original.chain
-        assert parsed.acceptance == original.acceptance
-        for name in original.draws:
-            assert np.array_equal(parsed.draws[name], original.draws[name])
+    assert loaded.acceptance == chainset.acceptance
+    assert loaded.draws.shape == (3, 15, 20)
+    assert loaded.draws.tobytes() == chainset.draws.tobytes()
+    # trailing blank lines are not rows
+    path.write_text(path.read_text() + "\n\n")
+    assert read_draws(path).draws.tobytes() == chainset.draws.tobytes()
 
 
 def test_fitted_draws_file_rewrites_byte_for_byte(tmp_path):
@@ -129,35 +143,28 @@ def test_fitted_draws_file_rewrites_byte_for_byte(tmp_path):
 
 def test_draws_round_trip_numpy_scalar_acceptance(tmp_path, small_chainset):
     _, _, chainset = small_chainset
-    for chain in chainset.chains:
-        chain.acceptance = {k: np.float64(v) for k, v in chain.acceptance.items()}
+    chainset.acceptance = [{k: np.float64(v) for k, v in acc.items()}
+                           for acc in chainset.acceptance]
     path = tmp_path / "draws.csv"
     write_draws(chainset, path)
     assert "np.float64" not in path.read_text()
     loaded = read_draws(path)
-    for original, parsed in zip(chainset.chains, loaded.chains):
-        assert parsed.acceptance == original.acceptance
-        assert all(type(v) is float for v in parsed.acceptance.values())
+    assert loaded.acceptance == chainset.acceptance
+    assert all(type(v) is float for acc in loaded.acceptance for v in acc.values())
 
 
-def test_read_draws_interleaved_rows_match_blocked(tmp_path, small_chainset):
+def test_read_draws_rejects_interleaved_rows_at_the_first_out_of_order_line(
+    tmp_path, small_chainset
+):
     _, _, chainset = small_chainset
-    blocked = tmp_path / "blocked.csv"
-    write_draws(chainset, blocked)
-    lines = blocked.read_text().splitlines()
+    path, lines = written_lines(tmp_path, chainset)
     at = lines.index("chain,iteration,parameter,value") + 1
-    # one row per (iteration, chain, parameter): every row starts a new run
+    # one row per (iteration, chain, parameter): the second row is out of order
     rows = sorted(lines[at:], key=lambda row: (int(row.split(",")[1]), int(row.split(",")[0])))
-    interleaved = tmp_path / "interleaved.csv"
-    interleaved.write_text("\n".join(lines[:at] + rows) + "\n")
-    assert rows[:2] != lines[at:at + 2]
-    expected, loaded = read_draws(blocked), read_draws(interleaved)
-    assert loaded.parameters() == expected.parameters()
-    for want, got in zip(expected.chains, loaded.chains):
-        assert got.chain == want.chain and got.acceptance == want.acceptance
-        assert list(got.draws) == list(want.draws)
-        for name in want.draws:
-            assert np.array_equal(got.draws[name], want.draws[name])
+    path.write_text("\n".join(lines[:at] + rows) + "\n")
+    assert rows[0] == lines[at] and rows[1] != lines[at + 1]
+    assert rejection(path) == (f"{path}:{at + 2}: expected a row starting "
+                               f"'0,21,inclusion_prob,', got {rows[1]!r}")
 
 
 def test_draws_row_count(tmp_path, small_chainset):
@@ -165,7 +172,7 @@ def test_draws_row_count(tmp_path, small_chainset):
     path = tmp_path / "draws.csv"
     write_draws(chainset, path)
     rows = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
-    n_params = len(chainset.parameters())
+    n_params = len(chainset.names)
     assert len(rows) - 1 == 3 * 20 * n_params  # header + chains*kept*params
 
 
@@ -182,72 +189,118 @@ def test_draws_version_stamp(tmp_path, small_chainset):
 def test_draws_empty_chainset(tmp_path):
     from bugsize.sampler import ChainSet
 
-    empty = ChainSet(chains=[], base_seed=5, iterations=10, burn_in=5, thin=1)
+    empty = ChainSet(names=[], draws=np.empty((0, 0, 5)), acceptance=[],
+                     base_seed=5, iterations=10, burn_in=5, thin=1)
     path = tmp_path / "empty.csv"
     write_draws(empty, path)
     loaded = read_draws(path)
     assert loaded.n_chains == 0 and loaded.base_seed == 5
+    assert loaded.draws.shape == (0, 0, 5)
 
 
 def test_read_draws_rejects_short_chain(tmp_path, small_chainset):
     _, _, chainset = small_chainset
-    path = tmp_path / "draws.csv"
-    write_draws(chainset, path)
-    last = chainset.kept_iterations[-1]
-    lines = [l for l in path.read_text().splitlines() if not l.startswith(f"1,{last},")]
+    path, lines = written_lines(tmp_path, chainset)
+    lines = [l for l in lines if not l.startswith("1,39,")]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as err:
-        read_draws(path)
-    assert str(err.value) == (f"{path}: chain 1's 19 draws of 'inclusion_prob' are not at the "
-                              "meta line's 20 iterations range(20, 40)")
+    # chain 1's first block ends a row early, so its next block starts too soon
+    at = lines.index(next(l for l in lines if l.startswith("1,20,total_bugs,")))
+    assert rejection(path) == (f"{path}:{at + 1}: expected a row starting "
+                               f"'1,39,inclusion_prob,', got {lines[at]!r}")
 
 
 def test_read_draws_rejects_missing_parameter(tmp_path, small_chainset):
     _, _, chainset = small_chainset
-    path = tmp_path / "draws.csv"
-    write_draws(chainset, path)
-    lines = [
-        l for l in path.read_text().splitlines()
-        if not (l.startswith("2,") and l.split(",")[2] == "total_bugs")
-    ]
+    path, lines = written_lines(tmp_path, chainset)
+    lines = [l for l in lines if not (l.startswith("2,") and l.split(",")[2] == "total_bugs")]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as err:
-        read_draws(path)
-    assert str(err.value) == f"{path}: chain 2 has no draws of 'total_bugs'"
+    at = lines.index(next(l for l in lines if l.startswith("2,20,remaining_size,")))
+    assert rejection(path) == (f"{path}:{at + 1}: expected a row starting "
+                               f"'2,20,total_bugs,', got {lines[at]!r}")
 
 
 def test_read_draws_rejects_missing_chain(tmp_path, small_chainset):
     _, _, chainset = small_chainset
-    path = tmp_path / "draws.csv"
-    write_draws(chainset, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(l for l in lines if not l.startswith("2,")) + "\n")
-    with pytest.raises(ValueError) as err:
-        read_draws(path)
-    assert str(err.value) == f"{path}: holds draws of 2 chains, its meta line counts 3"
+    path, lines = written_lines(tmp_path, chainset)
+    kept = [l for l in lines if not l.startswith("2,")]
+    path.write_text("\n".join(kept) + "\n")
+    assert rejection(path) == (f"{path}:{len(kept) + 1}: expected a row starting "
+                               "'2,20,inclusion_prob,', got the end of the file")
     # a header and no draw rows at all
     at = lines.index("chain,iteration,parameter,value") + 1
     path.write_text("\n".join(lines[:at]) + "\n")
-    with pytest.raises(ValueError) as err:
-        read_draws(path)
-    assert str(err.value) == f"{path}: holds draws of 0 chains, its meta line counts 3"
+    assert rejection(path) == (f"{path}:{at + 1}: expected a row starting '0,20,', "
+                               "got the end of the file")
+
+
+def test_read_draws_rejects_rows_after_the_last_chain(tmp_path, small_chainset):
+    _, _, chainset = small_chainset
+    path, lines = written_lines(tmp_path, chainset)
+    path.write_text("\n".join(lines + ["", "3,20,inclusion_prob,0.5"]) + "\n")
+    assert rejection(path) == (f"{path}:{len(lines) + 1}: expected the end of the draws, "
+                               "got ''")
+
+
+def test_read_draws_rejects_renamed_chain(tmp_path, small_chainset):
+    # chain 2's rows carry the id 9: chain ids are positions, 0..chains-1
+    _, _, chainset = small_chainset
+    path, lines = written_lines(tmp_path, chainset)
+    at = next(i for i, l in enumerate(lines) if l.startswith("2,"))
+    lines = [("9," + l[2:]) if l.startswith("2,") else l for l in lines]
+    path.write_text("\n".join(lines) + "\n")
+    assert rejection(path) == (f"{path}:{at + 1}: expected a row starting "
+                               f"'2,20,inclusion_prob,', got {lines[at]!r}")
+
+
+@pytest.mark.parametrize(
+    "line, new, message",
+    [
+        (4, "# chain 7 seed=60:2 acceptance size=0.5", "expected '# chain 2', got chain 7"),
+        (4, "# chain 1 seed=60:1 acceptance size=0.5", "expected '# chain 2', got chain 1"),
+        (2, "# chain 1 seed=60:1 acceptance size=0.5", "expected '# chain 0', got chain 1"),
+    ],
+    ids=["other-id", "repeated-id", "out-of-order"],
+)
+def test_read_draws_rejects_chain_lines_out_of_position(tmp_path, small_chainset, line, new,
+                                                        message):
+    _, _, chainset = small_chainset
+    path, lines = written_lines(tmp_path, chainset)
+    assert lines[line].startswith("# chain ")
+    lines[line] = new
+    path.write_text("\n".join(lines) + "\n")
+    assert rejection(path) == f"{path}:{line + 1}: {message}"
+
+
+def test_read_draws_rejects_a_missing_chain_line(tmp_path, small_chainset):
+    _, _, chainset = small_chainset
+    path, lines = written_lines(tmp_path, chainset)
+    del lines[4]
+    path.write_text("\n".join(lines) + "\n")
+    assert rejection(path) == f"{path}: has 2 '# chain' lines, its meta line counts 3 chains"
+
+
+def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
+    # every chain's total_bugs block renamed: the blocks agree, but a name repeats
+    _, _, chainset = small_chainset
+    path, lines = written_lines(tmp_path, chainset)
+    path.write_text("\n".join(l.replace(",total_bugs,", ",inclusion_prob,") for l in lines) + "\n")
+    assert rejection(path) == f"{path}: parameter 'inclusion_prob' repeats"
 
 
 @pytest.mark.parametrize(
     "old, new, message",
     [
         ("# meta chains=3 iterations=40 burn_in=20 thin=1 base_seed=60\n", "",
-         "no '# meta' line gives chains, iterations, burn_in, thin, base_seed"),
-        (" base_seed=60", "", "no '# meta' line gives base_seed"),
-        ("thin=1", "thin=0", "meta thin must be >= 1, got 0"),
-        ("burn_in=20", "burn_in=10",
-         "chain 0's 20 draws of 'inclusion_prob' are not at the meta line's "
-         "30 iterations range(10, 40)"),
+         ": no '# meta' line gives chains, iterations, burn_in, thin, base_seed"),
+        (" base_seed=60", "", ": no '# meta' line gives base_seed"),
+        ("thin=1", "thin=0", ": meta thin must be >= 1, got 0"),
+        ("burn_in=20", "burn_in=10", ":{first}: expected a row starting '0,10,', got {first_row}"),
         ("\n0,25,total_bugs,", "\n0,26,total_bugs,",
-         "chain 0's 20 draws of 'total_bugs' are not at the meta line's "
-         "20 iterations range(20, 40)"),
+         ":{edited}: expected a row starting '0,25,total_bugs,', got {edited_row}"),
+        ("burn_in=20", "burn_in=40", ": the meta line keeps no iterations: range(40, 40)"),
     ],
-    ids=["no-meta-line", "no-base-seed", "thin-0", "other-burn-in", "off-grid-row"],
+    ids=["no-meta-line", "no-base-seed", "thin-0", "other-burn-in", "off-grid-row",
+         "no-kept-iterations"],
 )
 def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old, new, message):
     _, _, chainset = small_chainset
@@ -256,17 +309,21 @@ def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old
     text = path.read_text()
     assert text.count(old) == 1
     path.write_text(text.replace(old, new))
-    with pytest.raises(ValueError) as err:
-        read_draws(path)
-    assert str(err.value) == f"{path}: {message}"
+    lines, changed = text.splitlines(), path.read_text().splitlines()
+    first = lines.index("chain,iteration,parameter,value") + 1
+    edited = next(i for i, (a, b) in enumerate(zip(lines, changed)) if a != b)
+    assert rejection(path) == f"{path}" + message.format(
+        first=first + 1, first_row=repr(lines[first]),
+        edited=edited + 1, edited_row=repr(changed[edited]))
 
 
 @pytest.mark.parametrize(
     "row, message",
     [
         ("1,25,total_bugs,abc",
-         "chain and iteration must be integers and value a number, got '1,25,total_bugs,abc'"),
-        ("1,25,total_bugs", "expected 4 fields (chain,iteration,parameter,value), got 3"),
+         "the value of row '1,25,total_bugs,abc' must be a number"),
+        ("1,25,total_bugs",
+         "expected a row starting '1,25,total_bugs,', got '1,25,total_bugs'"),
     ],
     ids=["non-numeric-value", "three-fields"],
 )
@@ -324,7 +381,7 @@ def test_report_document_round_trip(tmp_path, small_chainset):
         "chains": 3, "iterations": 40, "burn_in": 20, "thin": 1, "seed": 60}
     assert loaded["seeds"]["chains"] == ["60:0", "60:1", "60:2"]
     assert loaded["credible_mass"] == 0.95
-    assert set(loaded["parameters"]) == set(chainset.parameters())
+    assert set(loaded["parameters"]) == set(chainset.names)
     psi = loaded["parameters"]["inclusion_prob"]
     assert psi["pooled_mean"] == report["inclusion_prob"].pooled_mean
     assert len(psi["chain_means"]) == 3

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bugsize.model import ModelConfig, TestCampaign
 from bugsize.reliability import chain_reliability, reliability_at, reliability_curve
+from bugsize.sampler import SamplerConfig, run_all
 from helpers import make_chainset
 
 
@@ -28,6 +30,18 @@ def test_reliability_pooled_equals_weighted_chain_mean():
     counts = [np.count_nonzero(c < 120.0) for c in draws]
     assert per_chain == [count / 400 for count in counts]
     assert reliability_at(cs, 120.0) == sum(counts) / draws.size
+
+
+def test_chain_reliability_of_a_fit_counts_each_chain():
+    camp = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[1, 1]])
+    config = ModelConfig(max_bugs=8, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
+    cs = run_all(camp, config, SamplerConfig(chains=3, iterations=200, burn_in=50, seed=43))
+    at = cs.names.index("remaining_size")
+    for epsilon in (0.0, 1.0, 3.0, 1e9):
+        counts = [int(np.count_nonzero(cs.draws[c, at] < epsilon)) for c in range(3)]
+        per_chain = chain_reliability(cs, epsilon)
+        assert per_chain == [count / 150 for count in counts]
+        assert all(type(v) is float for v in per_chain)
 
 
 def test_reliability_monotone_in_threshold():
@@ -64,7 +78,6 @@ def test_reliability_rejects_nan_thresholds():
 
 
 def test_reliability_requires_draws():
-    cs = make_chainset({"remaining_size": np.ones((2, 10))})
-    cs.chains = []
+    cs = make_chainset({"remaining_size": np.ones((0, 10))})
     with pytest.raises(ValueError):
         reliability_at(cs, 10.0)

@@ -14,6 +14,7 @@ from bugsize.model import (
     nb_log_pmf,
 )
 from bugsize.sampler import (
+    ChainSet,
     SamplerConfig,
     draw_inclusion_prob,
     run_all,
@@ -50,8 +51,7 @@ def tv_discrete(draws, pmf):
 def test_sampler_config_defaults_and_validation():
     cfg = SamplerConfig(iterations=50_000)
     assert cfg.effective_burn_in == 25_000
-    assert cfg.kept_per_chain == 25_000
-    assert SamplerConfig(iterations=10, burn_in=5).kept_per_chain == 5
+    assert SamplerConfig(iterations=10, burn_in=5).effective_burn_in == 5
     with pytest.raises(ValueError):
         SamplerConfig(chains=0)
     with pytest.raises(ValueError):
@@ -395,25 +395,23 @@ def test_run_chain_matches_reference_updates(monkeypatch):
                         bugs_detected=[[4, 1, 2], [0, 3, 0]])
     config = ModelConfig(max_bugs=300)
     scfg = SamplerConfig(iterations=300, burn_in=100, thin=2, track=tuple(range(300)))
-    got = run_chain(camp, config, scfg, 1, np.random.default_rng(36))
+    got, got_acceptance = run_chain(camp, config, scfg, np.random.default_rng(36))
     from bugsize import sampler
 
     monkeypatch.setattr(sampler, "update_inclusion", ref_update_inclusion)
     monkeypatch.setattr(sampler, "update_sizes", ref_update_sizes)
     monkeypatch.setattr(sampler, "update_mean_sizes", ref_update_mean_sizes)
-    want = run_chain(camp, config, scfg, 1, np.random.default_rng(36))
-    assert list(got.draws) == list(want.draws)
-    for name in want.draws:
-        assert got.draws[name].tobytes() == want.draws[name].tobytes(), name
-    assert got.acceptance == want.acceptance
-    assert all(type(v) is float for v in got.acceptance.values())
-    # the recorded scalars are those of the kept states: every candidate is tracked
-    kept = {key: np.stack([got.draws[f"{key}[{i}]"] for i in scfg.track], axis=1)
-            for key in ("include", "size", "mean_size")}
+    want, want_acceptance = run_chain(camp, config, scfg, np.random.default_rng(36))
+    assert got.shape == (3 + 3 * 300, len(range(100, 300, 2)))
+    assert got.tobytes() == want.tobytes()
+    assert got_acceptance == want_acceptance
+    assert all(type(v) is float for v in got_acceptance.values())
+    # the recorded scalars are those of the kept states: every candidate is tracked,
+    # in the rows inclusion_prob, total_bugs, remaining_size, include[:], size[:], mean_size[:]
+    include, size = got[3:303].T, got[303:603].T
     hidden = np.arange(config.max_bugs) >= camp.detected_total
-    assert np.array_equal(got.draws["total_bugs"], kept["include"].sum(axis=1))
-    remaining = (kept["size"] * kept["include"])[:, hidden].sum(axis=1)
-    assert np.array_equal(got.draws["remaining_size"], remaining)
+    assert np.array_equal(got[1], include.sum(axis=1))
+    assert np.array_equal(got[2], (size * include)[:, hidden].sum(axis=1))
 
 
 # -------------------------------------------------------------- run_chain
@@ -422,11 +420,10 @@ def test_run_chain_deterministic():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
     scfg = SamplerConfig(chains=1, iterations=200, seed=0)
-    a = run_chain(camp, config, scfg, 0, np.random.default_rng(123))
-    b = run_chain(camp, config, scfg, 0, np.random.default_rng(123))
-    for name in a.draws:
-        assert np.array_equal(a.draws[name], b.draws[name])
-    assert a.acceptance == b.acceptance
+    a, a_acceptance = run_chain(camp, config, scfg, np.random.default_rng(123))
+    b, b_acceptance = run_chain(camp, config, scfg, np.random.default_rng(123))
+    assert np.array_equal(a, b)
+    assert a_acceptance == b_acceptance
 
 
 def test_run_chain_zero_detections_matches_enumeration():
@@ -465,7 +462,6 @@ def test_run_chain_rejects_low_ceiling_and_empty_campaign():
             TestCampaign(test_cases=[[5]], bugs_detected=[[3]]),
             config,
             SamplerConfig(iterations=10),
-            0,
             np.random.default_rng(0),
         )
     with pytest.raises(ValueError, match="testing effort"):
@@ -473,7 +469,6 @@ def test_run_chain_rejects_low_ceiling_and_empty_campaign():
             TestCampaign(test_cases=[[0]], bugs_detected=[[0]]),
             config,
             SamplerConfig(iterations=10),
-            0,
             np.random.default_rng(0),
         )
 
@@ -486,6 +481,32 @@ def test_run_all_bookkeeping():
     chainset = run_all(camp, config, SamplerConfig(chains=1, iterations=10, burn_in=5, seed=1))
     assert chainset.kept_per_chain == 5
     assert list(chainset.kept_iterations) == [5, 6, 7, 8, 9]
+    assert chainset.names == ["inclusion_prob", "total_bugs", "remaining_size",
+                              "include[0]", "include[1]", "include[2]", "include[3]",
+                              "size[0]", "size[1]", "size[2]", "size[3]",
+                              "mean_size[0]", "mean_size[1]", "mean_size[2]", "mean_size[3]"]
+    assert chainset.draws.shape == (1, 15, 5)
+    assert chainset.seed_keys() == ["1:0"]
+    # the kept grid follows the run settings: thinned from an implied burn-in
+    thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=50_000, thin=7,
+                                                  track=(), seed=1))
+    assert thinned.kept_per_chain == len(range(25_000, 50_000, 7))
+    assert thinned.draws.shape == (2, 3, thinned.kept_per_chain)
+
+
+def test_chainset_rejects_draws_off_its_layout():
+    settings = dict(acceptance=[{}, {}], base_seed=0, iterations=4, burn_in=0, thin=1)
+    chainset = ChainSet(names=["a", "b"], draws=np.arange(16.0).reshape(2, 2, 4), **settings)
+    assert np.array_equal(chainset.matrix("b"), [[4, 5, 6, 7], [12, 13, 14, 15]])
+    with pytest.raises(KeyError, match="unknown parameter 'c'; tracked: a, b"):
+        chainset.matrix("c")
+    # (chains, parameters, kept) is (2, 2, 4)
+    for shape in [(2, 2, 3), (3, 2, 4), (2, 1, 4), (2, 8), (2, 2, 4, 1)]:
+        with pytest.raises(ValueError, match=r"draws of shape .*; \(chains, parameters, kept\) "
+                                              r"is \(2, 2, 4\)"):
+            ChainSet(names=["a", "b"], draws=np.zeros(shape), **settings)
+    with pytest.raises(ValueError, match="parameter 'a' repeats"):
+        ChainSet(names=["a", "a"], draws=np.zeros((2, 2, 4)), **settings)
 
 
 def test_run_all_reproducible_and_chains_differ():
@@ -494,11 +515,8 @@ def test_run_all_reproducible_and_chains_differ():
     scfg = SamplerConfig(chains=3, iterations=400, seed=21)
     first = run_all(camp, config, scfg)
     second = run_all(camp, config, scfg)
-    for c1, c2 in zip(first.chains, second.chains):
-        for name in c1.draws:
-            assert np.array_equal(c1.draws[name], c2.draws[name])
-    a, b = first.chains[0], first.chains[1]
-    assert any(not np.array_equal(a.draws[n], b.draws[n]) for n in a.draws)
+    assert np.array_equal(first.draws, second.draws)
+    assert not np.array_equal(first.draws[0], first.draws[1])
 
 
 def test_run_all_chain_agreement():
@@ -518,9 +536,8 @@ def test_run_all_parallel_matches_serial():
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
     serial = run_all(camp, config, SamplerConfig(chains=2, iterations=200, seed=5))
     parallel = run_all(camp, config, SamplerConfig(chains=2, iterations=200, seed=5, workers=2))
-    for c1, c2 in zip(serial.chains, parallel.chains):
-        for name in c1.draws:
-            assert np.array_equal(c1.draws[name], c2.draws[name])
+    assert serial.draws.tobytes() == parallel.draws.tobytes()
+    assert serial.acceptance == parallel.acceptance
 
 
 def test_run_all_pool_raises_the_serial_input_error():
@@ -536,15 +553,29 @@ def test_run_all_pool_raises_the_serial_input_error():
     assert errors[0] == (ValueError, "tracked candidate index 99 out of range for max_bugs=6")
 
 
+def test_run_chain_rejects_repeated_track_before_sampling(monkeypatch):
+    # a repeated index would record one column name twice
+    monkeypatch.setattr(sampler, "_initial_state", None)  # sampling would call it
+    with pytest.raises(ValueError, match=r"tracked candidate indices repeat: \(0, 3, 0\)"):
+        run_chain(single_cell_campaign(), ModelConfig(max_bugs=6),
+                  SamplerConfig(iterations=10, track=(0, 3, 0)), np.random.default_rng(0))
+
+
 # workers see a monkeypatched run_chain only when forked from this process
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
 )
 
 
+def chain_of(rng):
+    """The chain a generator serves: run_all seeds chain i from child i of the base seed."""
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
 @needs_fork
 def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
-    def broken_chain(campaign, model_config, sampler_config, chain_index, rng):
+    def broken_chain(campaign, model_config, sampler_config, rng):
+        chain_index = chain_of(rng)
         if chain_index == 0:
             time.sleep(0.3)  # chain 1 fails first
         raise ArithmeticError(f"broke in chain {chain_index}")
@@ -560,7 +591,8 @@ def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
 
 @needs_fork
 def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path):
-    def chain_or_fail(campaign, model_config, sampler_config, chain_index, rng):
+    def chain_or_fail(campaign, model_config, sampler_config, rng):
+        chain_index = chain_of(rng)
         (tmp_path / f"started-{chain_index}").touch()
         if chain_index == 0:
             raise ArithmeticError("broke in chain 0")
@@ -589,10 +621,9 @@ def test_run_all_starts_when_prior_sizes_are_all_zero():
     camp = TestCampaign(test_cases=[[5, 2]], bugs_detected=[[2, 1]])
     scfg = SamplerConfig(chains=2, iterations=5, seed=3, fixed_mean_size=1e-9, track=(0, 2, 3))
     chainset = run_all(camp, ModelConfig(max_bugs=6), scfg)
-    for chain in chainset.chains:
-        assert np.all(chain.draws["size[0]"] == 1) and np.all(chain.draws["size[2]"] == 1)
-        assert np.all(chain.draws["size[3]"] == 0)
-        assert np.all(chain.draws["remaining_size"] == 0)
+    assert np.all(chainset.matrix("size[0]") == 1) and np.all(chainset.matrix("size[2]") == 1)
+    assert np.all(chainset.matrix("size[3]") == 0)
+    assert np.all(chainset.matrix("remaining_size") == 0)
 
 
 def test_kept_state_invariants():
@@ -602,15 +633,14 @@ def test_kept_state_invariants():
     scfg = SamplerConfig(chains=2, iterations=500, seed=23, track=tuple(range(m)))
     chainset = run_all(camp, config, scfg)
     n = camp.detected_total
-    for chain in chainset.chains:
-        totals = chain.draws["total_bugs"]
-        remaining = chain.draws["remaining_size"]
-        assert np.all(totals >= n) and np.all(totals <= m)
-        assert np.all(remaining >= 0)
-        # nothing hidden whenever only the detected candidates are included
-        assert np.all(remaining[totals == n] == 0)
-        for i in range(n):
-            assert np.all(chain.draws[f"include[{i}]"] == 1.0)
+    totals = chainset.matrix("total_bugs")
+    remaining = chainset.matrix("remaining_size")
+    assert np.all(totals >= n) and np.all(totals <= m)
+    assert np.all(remaining >= 0)
+    # nothing hidden whenever only the detected candidates are included
+    assert np.all(remaining[totals == n] == 0)
+    for i in range(n):
+        assert np.all(chainset.matrix(f"include[{i}]") == 1.0)
 
 
 def test_summarized_fit_ess_within_inflation_allowance():
@@ -621,5 +651,5 @@ def test_summarized_fit_ess_within_inflation_allowance():
 
     report = summarize(chainset)
     total = chainset.n_chains * chainset.kept_per_chain
-    for name in report.parameters:
+    for name in report:
         assert report[name].ess <= 1.05 * total

@@ -26,7 +26,7 @@ def test_generated_counts_match_assignments():
     assert np.array_equal(counts, campaign.bugs_detected)
     assert truth.remaining_size == truth.size[truth.cell < 0].sum()
     assert np.all(truth.size >= 0)
-    assert truth.include.sum() == 40
+    assert truth.true_bugs == 40 and truth.size.shape == truth.cell.shape == (40,)
 
 
 def test_generation_reproducible():
@@ -98,9 +98,9 @@ def test_recovery_across_decay_exponents(nu, seed):
     # default-prior sizes are ~100, so nearly everything real gets caught
     assert abs(report["total_bugs"].pooled_mean - 30) < 5.0
     assert abs(report["inclusion_prob"].pooled_mean - 30 / 120.0) < 0.03
-    sizes = {name for name in report.parameters if name.startswith("size[")}
+    sizes = {name for name in report if name.startswith("size[")}
     assert sizes == {"size[0]", "size[1]", "size[118]", "size[119]"}
     # per-bug size means stay near the prior mean under weak per-bug data
-    for name in report.parameters:
+    for name in report:
         if name.startswith("mean_size["):
             assert abs(report[name].pooled_mean - 100.0) < 10.0
