@@ -28,7 +28,6 @@ from .model import (
     ModelConfig,
     TestCampaign,
     cell_probabilities,
-    detection_loglik,
     detection_prob,
     nb_log_pmf,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "build_report",
     "cell_probabilities",
     "chain_reliability",
-    "detection_loglik",
     "detection_prob",
     "draw_inclusion_prob",
     "effective_sample_size",

@@ -138,7 +138,8 @@ def read_draws(path) -> ChainSet:
     then parameter (chain 0's blocks name the parameters), then the kept
     iterations ``range(burn_in, iterations, thin)`` of the meta line.  A
     chain's ``seed=`` token is skipped: the seed key follows from the base
-    seed and the chain id.
+    seed and the chain id.  Every number must read as the writer writes it:
+    finite, with no ``_`` digit grouping.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     stamp = lines[0].strip() if lines else "<empty>"
@@ -215,14 +216,18 @@ def read_draws(path) -> ChainSet:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _block_values(path, lines: list[str], at: int, heads: list[str]) -> list[float]:
-    """Values of the rows from ``lines[at]`` on, each its head then a number."""
+def _block_values(path, lines: list[str], at: int, heads: list[str]) -> np.ndarray:
+    """Values of the rows from ``lines[at]`` on, each its head then a finite number."""
     block = lines[at : at + len(heads)]
     if len(block) == len(heads) and all(map(str.startswith, block, heads)):
+        texts = list(map(str.removeprefix, block, heads))
         try:
-            return list(map(float, map(str.removeprefix, block, heads)))
+            values = np.array(list(map(float, texts)))
         except ValueError:
             pass
+        else:
+            if np.isfinite(values).all() and "_" not in "".join(texts):
+                return values
     # name the first row at fault
     for i, head in enumerate(heads, start=at):
         if i >= len(lines) or not lines[i].startswith(head):
@@ -237,10 +242,14 @@ def _unexpected(path, lines: list[str], i: int, expected: str):
 
 
 def _parse_token(kind, text: str, where: str, what: str, expected: str):
+    """``kind(text)`` for a token as the writer writes it: finite, no ``_`` digit grouping."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise ValueError(f"{where}: {what} must be {expected}") from None
+        value = None
+    if value is None or "_" in text or not math.isfinite(value):
+        raise ValueError(f"{where}: {what} must be {expected}")
+    return value
 
 
 def _jsonable(value):

@@ -23,7 +23,6 @@ __all__ = [
     "AugmentedState",
     "cell_probabilities",
     "detection_prob",
-    "detection_loglik",
     "nb_log_pmf",
 ]
 
@@ -211,30 +210,16 @@ def _log_detection_prob(x):
     return np.log(-np.expm1(-x))
 
 
-def detection_loglik(size, include, detected, exponent: float, t_max: float) -> np.ndarray:
-    """Per-candidate detection log-likelihood.
-
-    ``log(alpha)`` for a detected candidate (``alpha`` is :func:`detection_prob`),
-    ``log(1 - alpha) = -size**exponent / t_max`` for an included candidate never
-    detected, and 0 for an excluded one.  A detected bug's cell term
-    ``cell_probabilities(T)[j, k]`` does not depend on its size, so it is a
-    constant that cancels from every ratio and is omitted: the campaign enters
-    only through ``t_max`` and the detected count ``n``.  The sampler keeps
-    its detected candidates first, so there ``detected`` is the prefix mask
-    ``arange(max_bugs) < n``.
-
-    The sampler's sizes update runs :func:`_detection_loglik_ratio`, built
-    from the same rate and ``log(alpha)`` helpers; this function is the
-    reference that ratio must match bit for bit.
-    """
-    x = _detection_rate(size, exponent, t_max)
-    with np.errstate(divide="ignore"):
-        log_alpha = _log_detection_prob(x)
-    return np.where(detected, log_alpha, np.where(include, -x, 0.0))
-
-
 def _detection_loglik_ratio(x_new, x_cur, n: int) -> np.ndarray:
-    """``detection_loglik`` at new sizes minus at current ones, for included candidates.
+    """Detection log-likelihood at new sizes minus at current ones, for included candidates.
+
+    A candidate's detection log-likelihood is ``log(alpha)`` if it was
+    detected (``alpha`` is :func:`detection_prob`), ``log(1 - alpha) =
+    -size**exponent / t_max`` if it is included but was never detected, and
+    0 if it is excluded.  A detected bug's cell term
+    ``cell_probabilities(T)[j, k]`` does not depend on its size, so it is a
+    constant that cancels from the ratio: the campaign enters only through
+    ``t_max`` and the detected count ``n``.
 
     Takes the rates of included candidates only (an excluded one's ratio is
     0), in candidate order, so the ``n`` detected ones, always included, come

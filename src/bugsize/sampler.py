@@ -23,6 +23,8 @@ the same bit for bit.
 from __future__ import annotations
 
 import concurrent.futures
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -305,6 +307,83 @@ def _initial_state(
     return AugmentedState(include, size, mean_size, psi, n)
 
 
+@dataclass
+class _Run:
+    """A chain between two sweeps: its state and generator, the next sweep, and acceptance sums."""
+
+    state: AugmentedState
+    rng: np.random.Generator
+    it: int = 0
+    accept_size: float = 0.0
+    accept_mean: float = 0.0
+
+
+def _start_chain(
+    campaign: TestCampaign,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    rng: np.random.Generator,
+) -> _Run:
+    """Check the inputs, then draw the chain's dispersed start; no sweep has run."""
+    _check_campaign(campaign, model_config)
+    _resolve_track(sampler_config.track, model_config.max_bugs)
+    return _Run(_initial_state(campaign, model_config, sampler_config, rng), rng)
+
+
+def _advance_chain(
+    campaign: TestCampaign,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    run: _Run,
+    stop: int,
+) -> tuple[np.ndarray, _Run]:
+    """Run sweeps ``[run.it, stop)``; return the table columns they keep and the run after them.
+
+    The acceptance sums carry on from ``run``, added to in sweep order, so a
+    chain advanced in consecutive pieces ends with the same floats as one
+    advanced in a single piece.
+    """
+    m = model_config.max_bugs
+    n = campaign.detected_total
+    t_max = campaign.t_max
+
+    track = np.array(_resolve_track(sampler_config.track, m), dtype=np.intp)
+    kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
+    # the first len(range(kept.start, x, kept.step)) kept iterations are those below x
+    first, end = (len(range(kept.start, x, kept.step)) for x in (run.it, stop))
+    here = kept[first:end]
+    use_likelihood = sampler_config.use_likelihood
+    update_means = sampler_config.fixed_mean_size is None
+
+    table = np.empty((len(_draw_names(track)), len(here)))
+
+    state, rng = run.state, run.rng
+    accept_size = run.accept_size
+    accept_mean = run.accept_mean
+    for it in range(run.it, stop):
+        update_inclusion(state, t_max, model_config, rng, use_likelihood)
+        state.inclusion_prob = draw_inclusion_prob(state.total_bugs, m, rng)
+        accept_size += update_sizes(state, t_max, model_config, rng, use_likelihood)
+        if update_means:
+            accept_mean += update_mean_sizes(state, model_config, rng)
+        if it in here:
+            remaining = np.dot(state.size[n:], state.include[n:])
+            table[:, here.index(it)] = np.concatenate((
+                (state.inclusion_prob, state.total_bugs, remaining),
+                state.include[track], state.size[track], state.mean_size[track],
+            ))
+    return table, _Run(state, rng, stop, accept_size, accept_mean)
+
+
+def _finish_chain(sampler_config: SamplerConfig, run: _Run) -> dict[str, float]:
+    """The acceptance rates of a chain that has run every sweep."""
+    total = float(sampler_config.iterations)
+    acceptance = {"size": run.accept_size / total}
+    if sampler_config.fixed_mean_size is None:
+        acceptance["mean_size"] = run.accept_mean / total
+    return acceptance
+
+
 def run_chain(
     campaign: TestCampaign,
     model_config: ModelConfig,
@@ -321,39 +400,21 @@ def run_chain(
     one table row per ``_draw_names(track)`` entry, one column per kept
     iteration.
     """
-    _check_campaign(campaign, model_config)
-    m = model_config.max_bugs
-    n = campaign.detected_total
-    t_max = campaign.t_max
+    run = _start_chain(campaign, model_config, sampler_config, rng)
+    table, run = _advance_chain(campaign, model_config, sampler_config, run,
+                                sampler_config.iterations)
+    return table, _finish_chain(sampler_config, run)
 
-    track = np.array(_resolve_track(sampler_config.track, m), dtype=np.intp)
-    state = _initial_state(campaign, model_config, sampler_config, rng)
-    kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
-    use_likelihood = sampler_config.use_likelihood
-    update_means = sampler_config.fixed_mean_size is None
 
-    table = np.empty((len(_draw_names(track)), len(kept)))
-
-    accept_size = 0.0
-    accept_mean = 0.0
-    for it in range(sampler_config.iterations):
-        update_inclusion(state, t_max, model_config, rng, use_likelihood)
-        state.inclusion_prob = draw_inclusion_prob(state.total_bugs, m, rng)
-        accept_size += update_sizes(state, t_max, model_config, rng, use_likelihood)
-        if update_means:
-            accept_mean += update_mean_sizes(state, model_config, rng)
-        if it in kept:
-            remaining = np.dot(state.size[n:], state.include[n:])
-            table[:, kept.index(it)] = np.concatenate((
-                (state.inclusion_prob, state.total_bugs, remaining),
-                state.include[track], state.size[track], state.mean_size[track],
-            ))
-
-    total = float(sampler_config.iterations)
-    acceptance = {"size": accept_size / total}
-    if update_means:
-        acceptance["mean_size"] = accept_mean / total
-    return table, acceptance
+@contextmanager
+def _naming_chain(chain_index: int):
+    """Let an input error through unchanged; re-raise any other naming the chain."""
+    try:
+        yield
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"chain {chain_index} failed: {exc}") from exc
 
 
 def _run_chain_job(
@@ -363,13 +424,85 @@ def _run_chain_job(
     chain_index: int,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """Run one chain from its seed; name the chain in any error but an input error."""
-    try:
+    """Run one chain from its seed, serially."""
+    with _naming_chain(chain_index):
         return run_chain(campaign, model_config, sampler_config, np.random.default_rng(seed_seq))
-    except ValueError:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"chain {chain_index} failed: {exc}") from exc
+
+
+def _run_segment(
+    campaign: TestCampaign,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    chain_index: int,
+    run: _Run | np.random.SeedSequence,
+    stop: int,
+) -> tuple[np.ndarray, _Run]:
+    """Advance one chain up to sweep ``stop`` in a worker; start it first if ``run`` is its seed."""
+    with _naming_chain(chain_index):
+        if isinstance(run, np.random.SeedSequence):
+            run = _start_chain(campaign, model_config, sampler_config, np.random.default_rng(run))
+        return _advance_chain(campaign, model_config, sampler_config, run, stop)
+
+
+def _run_pooled(
+    campaign: TestCampaign,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    seqs: list[np.random.SeedSequence],
+    workers: int,
+) -> tuple[list[np.ndarray], list[dict[str, float]]]:
+    """Run every chain on ``workers`` processes, each chain as ``workers`` sweep segments.
+
+    Segment ``k`` of a chain runs sweeps up to ``(k + 1) * iterations //
+    workers``, from the state, generator and acceptance sums the chain's
+    previous segment handed back.  Ready segments wait in one FIFO queue,
+    chains in order at first, and a chain's next segment joins its back once
+    the one before returns; at most ``workers`` run at a time.  With equal
+    segments this finishes C >= workers chains of S sweeps in C * S /
+    workers, McNaughton's (1959) wrap-around schedule with each chain's
+    pieces kept in order, where one worker per whole chain takes
+    ceil(C / workers) * S.
+
+    A failing chain raises the error the serial path would: chains numbered
+    below it run to their end, since one of them may fail too, then the
+    lowest failed chain's error is raised.  No segment of a chain numbered
+    above it starts once the failure is seen.
+    """
+    segment = partial(_run_segment, campaign, model_config, sampler_config)
+    stops = [(k + 1) * sampler_config.iterations // workers for k in range(workers)]
+    runs: list = list(seqs)  # a chain's seed until its first segment returns
+    parts: list[list[np.ndarray]] = [[] for _ in seqs]
+    ready = deque(range(len(seqs)))
+    running: dict[concurrent.futures.Future, int] = {}
+    failed: dict[int, Exception] = {}
+    # The platform's default start method is kept on purpose (fork on Linux;
+    # the CLI has no Python threads when it forks).  A spawn pool re-imports
+    # numpy and bugsize in every worker, and was slower than the serial path
+    # on a 2,000-iteration fit of the bundled campaign.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        while True:
+            while ready and len(running) < workers:
+                c = ready.popleft()
+                if not failed or c < min(failed):
+                    running[pool.submit(segment, c, runs[c], stops[len(parts[c])])] = c
+            if not running:
+                break
+            done, _ = concurrent.futures.wait(
+                running, return_when=concurrent.futures.FIRST_COMPLETED)
+            for future in done:
+                c = running.pop(future)
+                try:
+                    table, runs[c] = future.result()
+                except Exception as exc:
+                    failed[c] = exc
+                    continue
+                parts[c].append(table)
+                if len(parts[c]) < workers:
+                    ready.append(c)
+    if failed:
+        raise failed[min(failed)]
+    return ([np.concatenate(p, axis=1) for p in parts],
+            [_finish_chain(sampler_config, run) for run in runs])
 
 
 def run_all(
@@ -381,29 +514,23 @@ def run_all(
 
     Per-chain generators are spawned from the base seed, so reruns with the
     same seed are bit-identical while chains stay statistically independent.
-    Chains run concurrently when ``workers > 1``; results are assembled in
-    chain order either way, and a failing chain raises the same error as it
-    would serially: a ``ValueError`` unchanged, anything else as a
+    With ``workers > 1`` and more than one chain, ``W = min(workers,
+    chains)`` worker processes share the chains: each chain runs as ``W``
+    consecutive sweep segments, and its state, generator and acceptance
+    sums pass from one segment to the next, so 3 chains on 2 workers take
+    1.5 chain-times rather than 2 (see ``_run_pooled``).  A chain's draws
+    are the same bytes either way.  A failing chain raises the same error
+    as it would serially: a ``ValueError`` unchanged, anything else as a
     ``RuntimeError`` naming the first failed chain in chain order.
     """
     n = sampler_config.chains
     seqs = np.random.SeedSequence(sampler_config.seed).spawn(n)
-    job = partial(_run_chain_job, campaign, model_config, sampler_config)
-    if sampler_config.workers > 1 and n > 1:
-        # The platform's default start method is kept on purpose (fork on
-        # Linux; the CLI has no Python threads when it forks).  A spawn pool
-        # re-imports numpy and bugsize in every worker, and was slower than
-        # the serial path on a 2,000-iteration fit of the bundled campaign.
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(sampler_config.workers, n)
-        ) as pool:
-            # map yields in chain order; after a failure it cancels the chains
-            # not yet started, except the up to workers + 1 that the pool has
-            # already moved to its call queue, which still run
-            chains = list(pool.map(job, range(n), seqs))
+    workers = min(sampler_config.workers, n)
+    if workers > 1:
+        tables, acceptance = _run_pooled(campaign, model_config, sampler_config, seqs, workers)
     else:
-        chains = list(map(job, range(n), seqs))
-    tables, acceptance = zip(*chains)
+        job = partial(_run_chain_job, campaign, model_config, sampler_config)
+        tables, acceptance = zip(*map(job, range(n), seqs))
     return ChainSet(
         names=_draw_names(_resolve_track(sampler_config.track, model_config.max_bugs)),
         draws=np.stack(tables), acceptance=list(acceptance),

@@ -324,8 +324,12 @@ def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old
          "the value of row '1,25,total_bugs,abc' must be a number"),
         ("1,25,total_bugs",
          "expected a row starting '1,25,total_bugs,', got '1,25,total_bugs'"),
+        # float() reads these (1_0 as 10.0); repr of a finite float is none of them
+        *((f"1,25,total_bugs,{v}", f"the value of row '1,25,total_bugs,{v}' must be a number")
+          for v in ("nan", "inf", "-inf", "1_0", "0.5_5")),
     ],
-    ids=["non-numeric-value", "three-fields"],
+    ids=["non-numeric-value", "three-fields", "nan", "inf", "minus-inf", "grouped-int",
+         "grouped-fraction"],
 )
 def test_read_draws_names_file_and_line_of_malformed_row(tmp_path, small_chainset, row, message):
     _, _, chainset = small_chainset
@@ -349,8 +353,15 @@ def test_read_draws_names_file_and_line_of_malformed_row(tmp_path, small_chainse
         (3, None, "# chain 1 seed=60:1 acceptance size=abc",
          "acceptance 'size=abc' must be a number"),
         (4, None, "# chain ", "chain line names no chain"),
+        (1, "burn_in=20", "burn_in=2_0", "meta field 'burn_in=2_0' must be an integer"),
+        (2, "# chain 0 ", "# chain 0_0 ", "chain id '0_0' must be an integer"),
+        (3, None, "# chain 1 seed=60:1 acceptance size=nan",
+         "acceptance 'size=nan' must be a number"),
+        (3, None, "# chain 1 seed=60:1 acceptance size=inf",
+         "acceptance 'size=inf' must be a number"),
     ],
-    ids=["meta-value", "meta-token", "chain-id", "acceptance", "empty-chain-line"],
+    ids=["meta-value", "meta-token", "chain-id", "acceptance", "empty-chain-line",
+         "meta-grouped", "chain-id-grouped", "acceptance-nan", "acceptance-inf"],
 )
 def test_read_draws_names_file_and_line_of_malformed_comment(
     tmp_path, small_chainset, line, old, new, message

@@ -8,10 +8,10 @@ from bugsize.model import (
     ModelConfig,
     TestCampaign,
     cell_probabilities,
-    detection_loglik,
     detection_prob,
     nb_log_pmf,
 )
+from helpers import detection_loglik
 
 
 # ---------------------------------------------------------------- campaign

@@ -10,7 +10,6 @@ from bugsize.model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
-    detection_loglik,
     nb_log_pmf,
 )
 from bugsize.sampler import (
@@ -23,6 +22,7 @@ from bugsize.sampler import (
     update_mean_sizes,
     update_sizes,
 )
+from helpers import detection_loglik
 
 
 def single_cell_campaign():
@@ -249,7 +249,7 @@ def test_update_mean_sizes_keeps_nb_log_pmf_decisions(dispersion):
 
 # The updates as they were written before the sweep evaluated the detection
 # kernel only where needed: every rate computed for all candidates, the full
-# detection log-likelihood (model.detection_loglik) evaluated at both sizes,
+# detection log-likelihood (helpers.detection_loglik) evaluated at both sizes,
 # the detected candidates selected by a boolean mask.  Kept here as the
 # reference the sweep must reproduce bit for bit.
 
@@ -561,7 +561,7 @@ def test_run_chain_rejects_repeated_track_before_sampling(monkeypatch):
                   SamplerConfig(iterations=10, track=(0, 3, 0)), np.random.default_rng(0))
 
 
-# workers see a monkeypatched run_chain only when forked from this process
+# workers see a monkeypatched advance only when forked from this process
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
 )
@@ -574,13 +574,14 @@ def chain_of(rng):
 
 @needs_fork
 def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
-    def broken_chain(campaign, model_config, sampler_config, rng):
-        chain_index = chain_of(rng)
+    # the serial run_chain and the pool's segments both advance through this
+    def broken_advance(campaign, model_config, sampler_config, run, stop):
+        chain_index = chain_of(run.rng)
         if chain_index == 0:
             time.sleep(0.3)  # chain 1 fails first
         raise ArithmeticError(f"broke in chain {chain_index}")
 
-    monkeypatch.setattr(sampler, "run_chain", broken_chain)
+    monkeypatch.setattr(sampler, "_advance_chain", broken_advance)
     camp = single_cell_campaign()
     for workers in (1, 2):
         scfg = SamplerConfig(chains=2, iterations=10, workers=workers)
@@ -591,22 +592,102 @@ def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
 
 @needs_fork
 def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path):
-    def chain_or_fail(campaign, model_config, sampler_config, rng):
-        chain_index = chain_of(rng)
+    def advance_or_fail(campaign, model_config, sampler_config, run, stop):
+        chain_index = chain_of(run.rng)
         (tmp_path / f"started-{chain_index}").touch()
         if chain_index == 0:
             raise ArithmeticError("broke in chain 0")
         time.sleep(0.5)
+        return np.empty((0, 0)), run
 
-    monkeypatch.setattr(sampler, "run_chain", chain_or_fail)
-    # when chain 0 fails, the two workers are busy with chains 1 and 2 and
-    # the pool has handed at most three more to its call queue; the rest are
-    # still queued and must never start
+    monkeypatch.setattr(sampler, "_advance_chain", advance_or_fail)
+    # the pool holds at most two segments at a time: when chain 0's first
+    # fails, only chain 1's first is running, and no later segment starts
     scfg = SamplerConfig(chains=10, iterations=10, workers=2)
     with pytest.raises(RuntimeError, match="chain 0 failed"):
         run_all(single_cell_campaign(), ModelConfig(max_bugs=6), scfg)
     started = sorted(int(p.name.split("-")[1]) for p in tmp_path.glob("started-*"))
-    assert started[-1] <= 5, started
+    assert started == [0, 1], started
+
+
+# ------------------------------------------------- segmented pool schedule
+
+SCHEDULE_CAMPAIGN = TestCampaign(test_cases=[[6, 3], [4, 2]], bugs_detected=[[2, 0], [1, 1]])
+SCHEDULE_MODEL = ModelConfig(max_bugs=9, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
+
+
+def test_advance_in_pieces_matches_run_chain():
+    scfg = SamplerConfig(iterations=40, burn_in=9, thin=3, seed=8, track=(0, 4, 8))
+    table, acceptance = run_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg,
+                                  np.random.default_rng(81))
+    run = sampler._start_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
+    parts = []
+    # pieces that end before, at and inside the burn-in, and an empty one
+    for stop in (4, 9, 9, 23, 40):
+        part, run = sampler._advance_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, run, stop)
+        parts.append(part)
+    assert [p.shape[1] for p in parts] == [0, 0, 0, 5, 6]
+    assert np.concatenate(parts, axis=1).tobytes() == table.tobytes()
+    assert sampler._finish_chain(scfg, run) == acceptance
+
+
+@pytest.mark.parametrize(
+    "chains, workers, settings",
+    [
+        (3, 2, dict(iterations=41, burn_in=25, thin=3)),
+        (4, 3, dict(iterations=50, burn_in=20, thin=4, fixed_mean_size=3.0)),
+        (5, 4, dict(iterations=3, burn_in=1, use_likelihood=False)),
+        (2, 2, dict(iterations=31, thin=2, track=tuple(range(9)))),
+    ],
+    ids=["3-on-2-thinned", "4-on-3-fixed-mean", "5-on-4-fewer-sweeps-than-workers",
+         "2-on-2-default-burn-in"],
+)
+def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
+    serial = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL,
+                     SamplerConfig(chains=chains, seed=13, **settings))
+    pooled = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL,
+                     SamplerConfig(chains=chains, seed=13, workers=workers, **settings))
+    assert serial.draws.tobytes() == pooled.draws.tobytes()
+    assert serial.acceptance == pooled.acceptance
+
+
+@needs_fork
+@pytest.mark.parametrize("chains, workers", [(3, 2), (4, 3)])
+def test_run_all_pool_runs_each_chain_in_order_on_at_most_workers(
+    monkeypatch, tmp_path, chains, workers
+):
+    advance = sampler._advance_chain
+    pause = 0.3
+
+    def recorded_advance(campaign, model_config, sampler_config, run, stop):
+        began = time.monotonic()
+        time.sleep(pause)
+        out = advance(campaign, model_config, sampler_config, run, stop)
+        (tmp_path / f"{chain_of(run.rng)}-{run.it}-{stop}").write_text(
+            f"{began} {time.monotonic()}")
+        return out
+
+    monkeypatch.setattr(sampler, "_advance_chain", recorded_advance)
+    iterations = 20
+    scfg = SamplerConfig(chains=chains, iterations=iterations, workers=workers)
+    run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg)
+    segments = []
+    for path in tmp_path.iterdir():
+        chain, start, stop = map(int, path.name.split("-"))
+        began, ended = map(float, path.read_text().split())
+        segments.append((chain, start, stop, began, ended))
+    # each chain runs workers segments, in order, covering [0, iterations) once
+    bounds = [k * iterations // workers for k in range(workers + 1)]
+    for c in range(chains):
+        mine = sorted((s for s in segments if s[0] == c), key=lambda s: s[3])
+        assert [(s[1], s[2]) for s in mine] == list(zip(bounds, bounds[1:]))
+        assert all(a[4] <= b[3] for a, b in zip(mine, mine[1:]))
+    # at most workers run at once, and the chains share them evenly: chains
+    # rounds of one pause each, where whole chains would take
+    # ceil(chains / workers) * workers
+    assert max(sum(s[3] <= t[3] < s[4] for s in segments) for t in segments) <= workers
+    makespan = max(s[4] for s in segments) - min(s[3] for s in segments)
+    assert makespan < (chains + 0.5) * pause, makespan
 
 
 def test_run_all_rejects_low_ceiling():
