@@ -16,7 +16,8 @@ for nu, seed in zip([1.0, 1.25, 1.5], [99, 100, 101]):
     config = ModelConfig(max_bugs=400, size_exponent=nu, dispersion=50.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     campaign, truth = generate_campaign(config, 30, 8, 100, (0, 50), rng)
-    report = summarize(run_all(campaign, config, SamplerConfig(iterations=3000, seed=seed)))
+    scfg = SamplerConfig(iterations=3000, seed=seed, track=(0, 1, 398, 399))
+    report = summarize(run_all(campaign, config, scfg))
     print(f"{nu:5.2f} {campaign.detected_total:9d} {report['total_bugs'].pooled_mean:9.3f} "
           f"{report['inclusion_prob'].pooled_mean:9.4f} {report['total_bugs'].rhat:7.3f} "
           f"{truth.remaining_size:7d}")

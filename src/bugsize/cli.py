@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnose", help="convergence diagnostics and trace exports")
     diag.add_argument("draws", help="draws CSV path")
     diag.add_argument("--params", default=None,
-                      help="comma-separated parameter filter (default: all tracked)")
+                      help="comma-separated parameter filter "
+                           "(default: every parameter in the file)")
     diag.add_argument("--out", default=None, help="output directory for trace files")
     diag.set_defaults(func=cmd_diagnose)
     return parser

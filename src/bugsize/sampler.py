@@ -23,6 +23,7 @@ the same bit for bit.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,13 +56,13 @@ __all__ = [
 class SamplerConfig:
     """Run settings for the Gibbs sampler.
 
-    ``burn_in`` defaults to half the iterations.  ``track`` selects the
-    candidate indices whose inclusion, size and size-mean trajectories are
-    recorded alongside the always-tracked scalars; by default the first two
-    and last two candidates, and ``tuple(range(max_bugs))`` keeps every
-    candidate.  ``use_likelihood=False`` drops every detection-
-    likelihood term so the sampler targets the bare prior (a testing hook),
-    and ``fixed_mean_size`` freezes all size means at a constant.
+    ``burn_in`` defaults to half the iterations.  A run always records
+    ``inclusion_prob``, ``total_bugs`` and ``remaining_size``; ``track``
+    names candidates whose inclusion, size and size-mean trajectories are
+    recorded too (none by default; recording draws no random numbers).
+    ``use_likelihood=False`` drops every detection-likelihood term so the
+    sampler targets the bare prior (a testing hook), and
+    ``fixed_mean_size`` freezes all size means at a constant.
     """
 
     chains: int = 3
@@ -69,7 +70,7 @@ class SamplerConfig:
     burn_in: int | None = None
     seed: int = 0
     thin: int = 1
-    track: tuple[int, ...] | None = None
+    track: tuple[int, ...] = ()
     use_likelihood: bool = True
     fixed_mean_size: float | None = None
     workers: int = 1
@@ -258,16 +259,12 @@ def update_mean_sizes(
     return float(np.count_nonzero(accept) / state.max_bugs)
 
 
-def _resolve_track(track: tuple[int, ...] | None, max_bugs: int) -> tuple[int, ...]:
-    if track is None:
-        picks = [0, 1, max_bugs - 2, max_bugs - 1]
-        return tuple(sorted({i for i in picks if 0 <= i < max_bugs}))
+def _check_track(track: tuple[int, ...], max_bugs: int) -> None:
     for i in track:
         if not 0 <= i < max_bugs:
             raise ValueError(f"tracked candidate index {i} out of range for max_bugs={max_bugs}")
     if len(set(track)) != len(track):
         raise ValueError(f"tracked candidate indices repeat: {tuple(track)}")
-    return tuple(track)
 
 
 def _draw_names(track) -> list[str]:
@@ -326,7 +323,7 @@ def _start_chain(
 ) -> _Run:
     """Check the inputs, then draw the chain's dispersed start; no sweep has run."""
     _check_campaign(campaign, model_config)
-    _resolve_track(sampler_config.track, model_config.max_bugs)
+    _check_track(sampler_config.track, model_config.max_bugs)
     return _Run(_initial_state(campaign, model_config, sampler_config, rng), rng)
 
 
@@ -347,7 +344,7 @@ def _advance_chain(
     n = campaign.detected_total
     t_max = campaign.t_max
 
-    track = np.array(_resolve_track(sampler_config.track, m), dtype=np.intp)
+    track = np.array(sampler_config.track, dtype=np.intp)
     kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
     # the first len(range(kept.start, x, kept.step)) kept iterations are those below x
     first, end = (len(range(kept.start, x, kept.step)) for x in (run.it, stop))
@@ -396,7 +393,7 @@ def run_chain(
     and sizes, size means and the inclusion probability drawn from their
     priors.  Always records the inclusion probability, the included-bug
     count and the remaining (included-but-undetected) total size, plus
-    inclusion, size and size-mean trajectories for the tracked candidates:
+    inclusion, size and size-mean trajectories for the tracked candidates, if any:
     one table row per ``_draw_names(track)`` entry, one column per kept
     iteration.
     """
@@ -451,17 +448,16 @@ def _run_pooled(
     seqs: list[np.random.SeedSequence],
     workers: int,
 ) -> tuple[list[np.ndarray], list[dict[str, float]]]:
-    """Run every chain on ``workers`` processes, each chain as ``workers`` sweep segments.
+    """Run C chains on W = ``workers`` processes, each as P = W / gcd(C, W) sweep segments.
 
-    Segment ``k`` of a chain runs sweeps up to ``(k + 1) * iterations //
-    workers``, from the state, generator and acceptance sums the chain's
-    previous segment handed back.  Ready segments wait in one FIFO queue,
-    chains in order at first, and a chain's next segment joins its back once
-    the one before returns; at most ``workers`` run at a time.  With equal
-    segments this finishes C >= workers chains of S sweeps in C * S /
-    workers, McNaughton's (1959) wrap-around schedule with each chain's
-    pieces kept in order, where one worker per whole chain takes
-    ceil(C / workers) * S.
+    Segment ``k`` of a chain runs sweeps up to ``(k + 1) * iterations // P``,
+    from the state, generator and acceptance sums the chain's previous
+    segment handed back.  Ready segments wait in one FIFO queue, chains in
+    order at first, and a chain's next segment joins its back once the one
+    before returns; at most W run at a time.  With equal segments, C * P
+    fill whole rounds of W and finish C >= W chains of S sweeps in C * S /
+    W, McNaughton's (1959) wrap-around schedule with each chain's pieces in
+    order, where one worker per whole chain takes ceil(C / W) * S.
 
     A failing chain raises the error the serial path would: chains numbered
     below it run to their end, since one of them may fail too, then the
@@ -469,7 +465,8 @@ def _run_pooled(
     above it starts once the failure is seen.
     """
     segment = partial(_run_segment, campaign, model_config, sampler_config)
-    stops = [(k + 1) * sampler_config.iterations // workers for k in range(workers)]
+    pieces = workers // math.gcd(len(seqs), workers)
+    stops = [(k + 1) * sampler_config.iterations // pieces for k in range(pieces)]
     runs: list = list(seqs)  # a chain's seed until its first segment returns
     parts: list[list[np.ndarray]] = [[] for _ in seqs]
     ready = deque(range(len(seqs)))
@@ -497,7 +494,7 @@ def _run_pooled(
                     failed[c] = exc
                     continue
                 parts[c].append(table)
-                if len(parts[c]) < workers:
+                if len(parts[c]) < pieces:
                     ready.append(c)
     if failed:
         raise failed[min(failed)]
@@ -515,13 +512,14 @@ def run_all(
     Per-chain generators are spawned from the base seed, so reruns with the
     same seed are bit-identical while chains stay statistically independent.
     With ``workers > 1`` and more than one chain, ``W = min(workers,
-    chains)`` worker processes share the chains: each chain runs as ``W``
-    consecutive sweep segments, and its state, generator and acceptance
-    sums pass from one segment to the next, so 3 chains on 2 workers take
-    1.5 chain-times rather than 2 (see ``_run_pooled``).  A chain's draws
-    are the same bytes either way.  A failing chain raises the same error
-    as it would serially: a ``ValueError`` unchanged, anything else as a
-    ``RuntimeError`` naming the first failed chain in chain order.
+    chains)`` worker processes share the chains: each chain runs as ``W /
+    gcd(chains, W)`` consecutive sweep segments (whole when W divides the
+    chain count), its state, generator and acceptance sums passing from one
+    to the next, so 3 chains on 2 workers take 1.5 chain-times rather than
+    2 (see ``_run_pooled``).  A chain's draws are the same bytes either way.
+    A failing chain raises the same error as it would serially: a
+    ``ValueError`` unchanged, anything else as a ``RuntimeError`` naming the
+    first failed chain in chain order.
     """
     n = sampler_config.chains
     seqs = np.random.SeedSequence(sampler_config.seed).spawn(n)
@@ -532,7 +530,7 @@ def run_all(
         job = partial(_run_chain_job, campaign, model_config, sampler_config)
         tables, acceptance = zip(*map(job, range(n), seqs))
     return ChainSet(
-        names=_draw_names(_resolve_track(sampler_config.track, model_config.max_bugs)),
+        names=_draw_names(sampler_config.track),
         draws=np.stack(tables), acceptance=list(acceptance),
         base_seed=sampler_config.seed, iterations=sampler_config.iterations,
         burn_in=sampler_config.effective_burn_in, thin=sampler_config.thin,

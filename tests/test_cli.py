@@ -321,8 +321,13 @@ def test_diagnose_prints_and_exports(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "R-hat" in stdout and "ESS" in stdout
-    assert (out / "trace_inclusion_prob.csv").exists()
-    assert (out / "trace_total_bugs.csv").exists()
+    # a default fit records only the posterior quantities, one trace file each
+    lines = (out / "draws.csv").read_text().splitlines()
+    header = lines.index("chain,iteration,parameter,value")
+    assert {row.split(",")[2] for row in lines[header + 1:]} == {
+        "inclusion_prob", "total_bugs", "remaining_size"}
+    assert sorted(path.name for path in out.glob("trace_*.csv")) == [
+        "trace_inclusion_prob.csv", "trace_remaining_size.csv", "trace_total_bugs.csv"]
 
 
 def test_diagnose_single_chain_rejected(tmp_path, capsys):

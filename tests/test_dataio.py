@@ -27,7 +27,7 @@ def small_chainset():
     config = ModelConfig(max_bugs=8, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
     return campaign, config, run_all(
         campaign, config,
-        SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60),
+        SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60, track=(0, 1, 6, 7)),
     )
 
 

@@ -1,5 +1,7 @@
+import math
 import multiprocessing
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,7 +421,7 @@ def test_run_chain_matches_reference_updates(monkeypatch):
 def test_run_chain_deterministic():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=1, iterations=200, seed=0)
+    scfg = SamplerConfig(chains=1, iterations=200, seed=0, track=(0, 1, 3, 4))
     a, a_acceptance = run_chain(camp, config, scfg, np.random.default_rng(123))
     b, b_acceptance = run_chain(camp, config, scfg, np.random.default_rng(123))
     assert np.array_equal(a, b)
@@ -478,18 +480,22 @@ def test_run_chain_rejects_low_ceiling_and_empty_campaign():
 def test_run_all_bookkeeping():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=4, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    chainset = run_all(camp, config, SamplerConfig(chains=1, iterations=10, burn_in=5, seed=1))
+    scfg = SamplerConfig(chains=1, iterations=10, burn_in=5, seed=1)
+    chainset = run_all(camp, config, scfg)
     assert chainset.kept_per_chain == 5
     assert list(chainset.kept_iterations) == [5, 6, 7, 8, 9]
-    assert chainset.names == ["inclusion_prob", "total_bugs", "remaining_size",
-                              "include[0]", "include[1]", "include[2]", "include[3]",
-                              "size[0]", "size[1]", "size[2]", "size[3]",
-                              "mean_size[0]", "mean_size[1]", "mean_size[2]", "mean_size[3]"]
-    assert chainset.draws.shape == (1, 15, 5)
+    # by default only the posterior quantities are recorded
+    assert chainset.names == ["inclusion_prob", "total_bugs", "remaining_size"]
+    assert chainset.draws.shape == (1, 3, 5)
     assert chainset.seed_keys() == ["1:0"]
+    tracked = run_all(camp, config, replace(scfg, track=(0, 1, 2, 3)))
+    assert tracked.names == ["inclusion_prob", "total_bugs", "remaining_size",
+                             "include[0]", "include[1]", "include[2]", "include[3]",
+                             "size[0]", "size[1]", "size[2]", "size[3]",
+                             "mean_size[0]", "mean_size[1]", "mean_size[2]", "mean_size[3]"]
+    assert tracked.draws.shape == (1, 15, 5)
     # the kept grid follows the run settings: thinned from an implied burn-in
-    thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=50_000, thin=7,
-                                                  track=(), seed=1))
+    thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=50_000, thin=7, seed=1))
     assert thinned.kept_per_chain == len(range(25_000, 50_000, 7))
     assert thinned.draws.shape == (2, 3, thinned.kept_per_chain)
 
@@ -512,7 +518,7 @@ def test_chainset_rejects_draws_off_its_layout():
 def test_run_all_reproducible_and_chains_differ():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=6, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=3, iterations=400, seed=21)
+    scfg = SamplerConfig(chains=3, iterations=400, seed=21, track=(0, 1, 4, 5))
     first = run_all(camp, config, scfg)
     second = run_all(camp, config, scfg)
     assert np.array_equal(first.draws, second.draws)
@@ -534,8 +540,9 @@ def test_run_all_chain_agreement():
 def test_run_all_parallel_matches_serial():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    serial = run_all(camp, config, SamplerConfig(chains=2, iterations=200, seed=5))
-    parallel = run_all(camp, config, SamplerConfig(chains=2, iterations=200, seed=5, workers=2))
+    scfg = SamplerConfig(chains=2, iterations=200, seed=5, track=(0, 1, 3, 4))
+    serial = run_all(camp, config, scfg)
+    parallel = run_all(camp, config, replace(scfg, workers=2))
     assert serial.draws.tobytes() == parallel.draws.tobytes()
     assert serial.acceptance == parallel.acceptance
 
@@ -634,13 +641,14 @@ def test_advance_in_pieces_matches_run_chain():
 @pytest.mark.parametrize(
     "chains, workers, settings",
     [
-        (3, 2, dict(iterations=41, burn_in=25, thin=3)),
-        (4, 3, dict(iterations=50, burn_in=20, thin=4, fixed_mean_size=3.0)),
-        (5, 4, dict(iterations=3, burn_in=1, use_likelihood=False)),
+        (3, 2, dict(iterations=41, burn_in=25, thin=3, track=(0, 1, 7, 8))),
+        (4, 3, dict(iterations=50, burn_in=20, thin=4, fixed_mean_size=3.0, track=(0, 1, 7, 8))),
+        (5, 4, dict(iterations=3, burn_in=1, use_likelihood=False, track=(0, 1, 7, 8))),
         (2, 2, dict(iterations=31, thin=2, track=tuple(range(9)))),
+        (4, 2, dict(iterations=30, burn_in=7, thin=2)),
     ],
     ids=["3-on-2-thinned", "4-on-3-fixed-mean", "5-on-4-fewer-sweeps-than-workers",
-         "2-on-2-default-burn-in"],
+         "2-on-2-default-burn-in", "4-on-2-whole-chains-default-track"],
 )
 def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
     serial = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL,
@@ -651,8 +659,20 @@ def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
     assert serial.acceptance == pooled.acceptance
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_track_records_the_scalar_rows_of_a_full_track_run(workers):
+    # recording draws no random numbers and changes no state, so tracking
+    # every candidate leaves the three posterior rows as they are
+    scfg = SamplerConfig(chains=3, iterations=60, burn_in=20, thin=2, seed=17, workers=workers)
+    default = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg)
+    full = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, replace(scfg, track=tuple(range(9))))
+    assert default.names == full.names[:3] == ["inclusion_prob", "total_bugs", "remaining_size"]
+    assert default.draws.tobytes() == full.draws[:, :3].tobytes()
+    assert default.acceptance == full.acceptance
+
+
 @needs_fork
-@pytest.mark.parametrize("chains, workers", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("chains, workers", [(3, 2), (4, 3), (2, 2), (4, 2)])
 def test_run_all_pool_runs_each_chain_in_order_on_at_most_workers(
     monkeypatch, tmp_path, chains, workers
 ):
@@ -676,18 +696,19 @@ def test_run_all_pool_runs_each_chain_in_order_on_at_most_workers(
         chain, start, stop = map(int, path.name.split("-"))
         began, ended = map(float, path.read_text().split())
         segments.append((chain, start, stop, began, ended))
-    # each chain runs workers segments, in order, covering [0, iterations) once
-    bounds = [k * iterations // workers for k in range(workers + 1)]
+    # each chain runs workers // gcd segments, in order, covering [0, iterations) once
+    pieces = workers // math.gcd(chains, workers)
+    bounds = [k * iterations // pieces for k in range(pieces + 1)]
     for c in range(chains):
         mine = sorted((s for s in segments if s[0] == c), key=lambda s: s[3])
         assert [(s[1], s[2]) for s in mine] == list(zip(bounds, bounds[1:]))
         assert all(a[4] <= b[3] for a, b in zip(mine, mine[1:]))
-    # at most workers run at once, and the chains share them evenly: chains
-    # rounds of one pause each, where whole chains would take
-    # ceil(chains / workers) * workers
+    # at most workers run at once, and the chains share them evenly: every
+    # segment pauses once, so chains * pieces / workers rounds of one pause,
+    # where workers segments per chain would take chains rounds
     assert max(sum(s[3] <= t[3] < s[4] for s in segments) for t in segments) <= workers
     makespan = max(s[4] for s in segments) - min(s[3] for s in segments)
-    assert makespan < (chains + 0.5) * pause, makespan
+    assert makespan < (chains * pieces // workers + 0.5) * pause, makespan
 
 
 def test_run_all_rejects_low_ceiling():
@@ -727,7 +748,8 @@ def test_kept_state_invariants():
 def test_summarized_fit_ess_within_inflation_allowance():
     camp = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[2, 1]])
     config = ModelConfig(max_bugs=12, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    chainset = run_all(camp, config, SamplerConfig(chains=3, iterations=3000, seed=24))
+    scfg = SamplerConfig(chains=3, iterations=3000, seed=24, track=(0, 1, 10, 11))
+    chainset = run_all(camp, config, scfg)
     from bugsize.diagnostics import summarize
 
     report = summarize(chainset)

@@ -92,7 +92,8 @@ def test_recovery_across_decay_exponents(nu, seed):
     config = ModelConfig(max_bugs=120, size_exponent=nu, dispersion=50.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     campaign, truth = generate_campaign(config, 6, 3, 30, (0, 50), rng)
-    chainset = run_all(campaign, config, SamplerConfig(chains=2, iterations=1500, seed=seed))
+    scfg = SamplerConfig(chains=2, iterations=1500, seed=seed, track=(0, 1, 118, 119))
+    chainset = run_all(campaign, config, scfg)
     report = summarize(chainset)
     assert campaign.detected_total <= truth.true_bugs == 30
     # default-prior sizes are ~100, so nearly everything real gets caught
