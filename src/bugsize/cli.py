@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataio, diagnostics, reliability, simulate
 from .model import ModelConfig
-from .sampler import SamplerConfig, _check_campaign, run_all
+from .sampler import DEFAULT_BURN_IN_CAP, SamplerConfig, _check_campaign, run_all
 
 __all__ = ["main", "entry"]
 
@@ -63,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("campaign", help="campaign CSV path")
     fit.add_argument("--chains", type=int, default=3)
     fit.add_argument("--iters", type=int, default=50_000)
-    fit.add_argument("--burn-in", type=int, default=None)
+    fit.add_argument("--burn-in", type=int, default=None,
+                     help="sweeps each chain discards before keeping draws (default: "
+                          f"half of --iters, at most {DEFAULT_BURN_IN_CAP})")
     fit.add_argument("--thin", type=int, default=1)
     fit.add_argument("--nu", type=float, default=1.5, help="detection-decay exponent")
     fit.add_argument("--max-bugs", type=int, default=400)
@@ -175,6 +177,8 @@ def cmd_fit(args) -> int:
     psi = report["inclusion_prob"]
     worst_name, worst_rhat = diagnostics.worst_rhat(report)
     print(f"detected bugs: {campaign.detected_total}   candidates: {args.max_bugs}")
+    print(f"burn-in {chainset.burn_in} of {chainset.iterations} sweeps per chain, "
+          f"{chainset.kept_per_chain} kept")
     print(
         f"total bugs:     mean {bugs.pooled_mean:.4f}   "
         f"95% CI [{bugs.ci_lower:.0f}, {bugs.ci_upper:.0f}]"
@@ -183,6 +187,13 @@ def cmd_fit(args) -> int:
     print(f"worst split R-hat: {worst_rhat:.4f} ({worst_name})")
     print(f"draws:  {out / 'draws.csv'}")
     print(f"report: {out / 'report.json'}")
+    totals = chainset.pooled("total_bugs")
+    at_ceiling = int(np.count_nonzero(totals == args.max_bugs))
+    if at_ceiling:
+        print(f"warning: {at_ceiling} of {totals.size} kept total_bugs draws "
+              f"({at_ceiling / totals.size:.1%}) sit at the --max-bugs ceiling of "
+              f"{args.max_bugs}, so the posterior may be cut off there; refit with a "
+              f"larger --max-bugs", file=sys.stderr)
     if math.isnan(worst_rhat):
         warning = ("split R-hat could not be computed, so convergence was not checked; "
                    "it needs 2 chains of at least 4 kept draws each")

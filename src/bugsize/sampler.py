@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -52,11 +51,21 @@ __all__ = [
 ]
 
 
+# The most sweeps a default burn-in discards: 5 times the slowest settling
+# measured.  From dispersed, all-included and all-excluded starts, every
+# chain's total_bugs entered its stationary 99% band within 40 sweeps, on
+# campaigns of M = 400 to 40,000 candidates (the table is in ROADMAP.md,
+# item 5).
+DEFAULT_BURN_IN_CAP = 200
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Run settings for the Gibbs sampler.
 
-    ``burn_in`` defaults to half the iterations.  A run always records
+    ``burn_in`` defaults to half the iterations, at most
+    ``DEFAULT_BURN_IN_CAP``: chains forget their start within a few dozen
+    sweeps, so a long run need not discard half its work.  A run always records
     ``inclusion_prob``, ``total_bugs`` and ``remaining_size``; ``track``
     names candidates whose inclusion, size and size-mean trajectories are
     recorded too (none by default; recording draws no random numbers).
@@ -91,7 +100,9 @@ class SamplerConfig:
 
     @property
     def effective_burn_in(self) -> int:
-        return self.iterations // 2 if self.burn_in is None else self.burn_in
+        if self.burn_in is None:
+            return min(self.iterations // 2, DEFAULT_BURN_IN_CAP)
+        return self.burn_in
 
 
 @dataclass
@@ -452,12 +463,15 @@ def _run_pooled(
 
     Segment ``k`` of a chain runs sweeps up to ``(k + 1) * iterations // P``,
     from the state, generator and acceptance sums the chain's previous
-    segment handed back.  Ready segments wait in one FIFO queue, chains in
-    order at first, and a chain's next segment joins its back once the one
-    before returns; at most W run at a time.  With equal segments, C * P
-    fill whole rounds of W and finish C >= W chains of S sweeps in C * S /
-    W, McNaughton's (1959) wrap-around schedule with each chain's pieces in
-    order, where one worker per whole chain takes ceil(C / W) * S.
+    segment handed back, so a chain's next segment is ready once the one
+    before returns.  A free worker takes the ready chain with the most
+    segments left, the lowest-numbered on ties; at most W run at a time.
+    With equal segments that is Hu's (1961) highest-level-first rule for
+    unit tasks in chains: C >= W chains of S sweeps fill C * P / W whole
+    rounds and finish in C * S / W, however ``wait`` batches the segments
+    that end together, where one worker per whole chain takes
+    ceil(C / W) * S.  First-come order can leave a chain's last segment a
+    round of its own (4 chains on 3 workers in 5 rounds, not 4).
 
     A failing chain raises the error the serial path would: chains numbered
     below it run to their end, since one of them may fail too, then the
@@ -469,7 +483,7 @@ def _run_pooled(
     stops = [(k + 1) * sampler_config.iterations // pieces for k in range(pieces)]
     runs: list = list(seqs)  # a chain's seed until its first segment returns
     parts: list[list[np.ndarray]] = [[] for _ in seqs]
-    ready = deque(range(len(seqs)))
+    ready = set(range(len(seqs)))
     running: dict[concurrent.futures.Future, int] = {}
     failed: dict[int, Exception] = {}
     # The platform's default start method is kept on purpose (fork on Linux;
@@ -479,7 +493,8 @@ def _run_pooled(
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         while True:
             while ready and len(running) < workers:
-                c = ready.popleft()
+                c = min(ready, key=lambda c: (len(parts[c]), c))
+                ready.remove(c)
                 if not failed or c < min(failed):
                     running[pool.submit(segment, c, runs[c], stops[len(parts[c])])] = c
             if not running:
@@ -495,7 +510,7 @@ def _run_pooled(
                     continue
                 parts[c].append(table)
                 if len(parts[c]) < pieces:
-                    ready.append(c)
+                    ready.add(c)
     if failed:
         raise failed[min(failed)]
     return ([np.concatenate(p, axis=1) for p in parts],

@@ -11,6 +11,7 @@ import pytest
 from bugsize import cli
 from bugsize.cli import main
 from bugsize.dataio import read_campaign, write_campaign
+from bugsize.datasets import flight_software_campaign
 from bugsize.model import TestCampaign
 
 
@@ -99,6 +100,60 @@ def test_fit_smoke_is_quick(tmp_path, capsys):
     assert (out / "draws.csv").exists() and (out / "report.json").exists()
     stdout = capsys.readouterr().out
     assert "total bugs" in stdout and "worst split R-hat" in stdout
+
+
+@pytest.mark.parametrize("iters, burn_in", [("200", 100), ("1000", 200)])
+def test_fit_reports_its_burn_in(tmp_path, capsys, iters, burn_in):
+    # the default burn-in is half the run, at most 200 sweeps per chain
+    code, out = run_fit(tmp_path, small_campaign_file(tmp_path), extra=("--iters", iters))
+    assert code == 0
+    kept = int(iters) - burn_in
+    assert f"burn-in {burn_in} of {iters} sweeps per chain, {kept} kept\n" in capsys.readouterr().out
+    meta = (out / "draws.csv").read_text().splitlines()[1]
+    assert f" iterations={iters} burn_in={burn_in} " in meta
+
+
+def test_fit_help_gives_the_default_burn_in(capsys):
+    assert main(["fit", "--help"]) == 0
+    assert "half of --iters, at most 200" in " ".join(capsys.readouterr().out.split())
+
+
+def hidden_wide_campaign(tmp_path):
+    """`simulate`'s hidden-wide campaign: 146 of 400 bugs detected, t_max 1,999."""
+    out = tmp_path / "hidden"
+    assert main(["simulate", "--true-bugs", "400", "--max-bugs", "4000", "--t-max", "2000",
+                 "--seed", "11", "--out", str(out)]) == 0
+    return out / "campaign.csv"
+
+
+def test_fit_warns_when_total_bugs_reaches_the_ceiling(tmp_path, capsys):
+    # about 400 real bugs cannot fit under a ceiling of 300 candidates
+    campaign = hidden_wide_campaign(tmp_path)
+    capsys.readouterr()
+    # a warning, not a failure: even under --strict the exit code is R-hat's alone
+    assert main(["fit", str(campaign), "--iters", "300", "--max-bugs", "300", "--threads", "1",
+                 "--seed", "4", "--strict", "--out", str(tmp_path / "low")]) == 0
+    err = capsys.readouterr().err
+    totals = [float(line.split(",")[3]) for line in
+              (tmp_path / "low" / "draws.csv").read_text().splitlines()
+              if ",total_bugs," in line]
+    at_ceiling = sum(total == 300 for total in totals)
+    assert 0 < at_ceiling < len(totals)
+    assert (f"warning: {at_ceiling} of {len(totals)} kept total_bugs draws "
+            f"({at_ceiling / len(totals):.1%}) sit at the --max-bugs ceiling of 300") in err
+    assert "refit with a larger --max-bugs" in err
+
+
+@pytest.mark.parametrize("which", ["hidden-wide", "bundled"])
+def test_fit_is_quiet_below_the_ceiling(tmp_path, capsys, which):
+    if which == "bundled":
+        campaign, max_bugs = tmp_path / "flight.csv", "400"
+        write_campaign(flight_software_campaign(), campaign)
+    else:
+        campaign, max_bugs = hidden_wide_campaign(tmp_path), "4000"
+    assert main(["fit", str(campaign), "--iters", "100", "--max-bugs", max_bugs,
+                 "--threads", "1", "--out", str(tmp_path / "fit")]) == 0
+    assert "ceiling" not in capsys.readouterr().err
 
 
 def test_fit_missing_file(tmp_path, capsys):

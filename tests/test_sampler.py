@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from bugsize import sampler
+from bugsize.datasets import flight_software_campaign
 from bugsize.model import (
     AugmentedState,
     ModelConfig,
@@ -15,6 +16,7 @@ from bugsize.model import (
     nb_log_pmf,
 )
 from bugsize.sampler import (
+    DEFAULT_BURN_IN_CAP,
     ChainSet,
     SamplerConfig,
     draw_inclusion_prob,
@@ -24,6 +26,7 @@ from bugsize.sampler import (
     update_mean_sizes,
     update_sizes,
 )
+from bugsize.simulate import generate_campaign
 from helpers import detection_loglik
 
 
@@ -51,9 +54,13 @@ def tv_discrete(draws, pmf):
 # ------------------------------------------------------------------ config
 
 def test_sampler_config_defaults_and_validation():
-    cfg = SamplerConfig(iterations=50_000)
-    assert cfg.effective_burn_in == 25_000
+    # the default burn-in is half the run, capped at DEFAULT_BURN_IN_CAP sweeps
+    assert DEFAULT_BURN_IN_CAP == 200
+    assert SamplerConfig(iterations=50_000).effective_burn_in == 200
+    assert SamplerConfig(iterations=300).effective_burn_in == 150
+    assert SamplerConfig(iterations=401).effective_burn_in == 200
     assert SamplerConfig(iterations=10, burn_in=5).effective_burn_in == 5
+    assert SamplerConfig(iterations=50_000, burn_in=25_000).effective_burn_in == 25_000
     with pytest.raises(ValueError):
         SamplerConfig(chains=0)
     with pytest.raises(ValueError):
@@ -496,7 +503,7 @@ def test_run_all_bookkeeping():
     assert tracked.draws.shape == (1, 15, 5)
     # the kept grid follows the run settings: thinned from an implied burn-in
     thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=50_000, thin=7, seed=1))
-    assert thinned.kept_per_chain == len(range(25_000, 50_000, 7))
+    assert thinned.kept_per_chain == len(range(DEFAULT_BURN_IN_CAP, 50_000, 7))
     assert thinned.draws.shape == (2, 3, thinned.kept_per_chain)
 
 
@@ -756,3 +763,58 @@ def test_summarized_fit_ess_within_inflation_allowance():
     total = chainset.n_chains * chainset.kept_per_chain
     for name in report:
         assert report[name].ess <= 1.05 * total
+
+
+# ---------------------------------------------------------------- burn-in
+
+def test_default_burn_in_keeps_the_draws_of_a_half_run_burn_in():
+    # the burn-in only chooses which sweeps are kept: a chain draws the same
+    # numbers either way, so the default keeps every draw a half-run burn-in
+    # keeps, as the same bytes, and the earlier sweeps besides
+    scfg = SamplerConfig(chains=2, iterations=1000, seed=31)
+    default = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg)
+    half = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, replace(scfg, burn_in=500))
+    assert default.kept_iterations == range(DEFAULT_BURN_IN_CAP, 1000)
+    assert default.draws[:, :, 500 - DEFAULT_BURN_IN_CAP:].tobytes() == half.draws.tobytes()
+    assert default.acceptance == half.acceptance
+
+
+def settle_campaign(name):
+    """The bundled campaign, criterion 3's recovery campaign, or hidden-wide."""
+    if name == "bundled":
+        return flight_software_campaign(), ModelConfig(max_bugs=400, size_exponent=1.5)
+    if name == "recovery":
+        config = ModelConfig(max_bugs=400, size_exponent=1.5)
+        rng = np.random.default_rng(np.random.SeedSequence(314))
+        return generate_campaign(config, 30, 8, 100, (0, 50), rng)[0], config
+    # `bugsize simulate --true-bugs 400 --max-bugs 4000 --t-max 2000 --seed 11`:
+    # 146 of 400 bugs detected, most of the real ones hidden
+    config = ModelConfig(max_bugs=4000, size_exponent=1.5)
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    return generate_campaign(config, 30, 8, 400, (0, 2000), rng)[0], config
+
+
+@pytest.mark.parametrize("name", ["bundled", "recovery", "hidden-wide"])
+def test_chains_settle_well_within_the_default_burn_in(name):
+    # from a dispersed start, every undetected candidate included (psi near
+    # 1) or none (psi near 0), each chain's total_bugs must reach the 99%
+    # band of its stationary draws within a quarter of the default burn-in
+    campaign, config = settle_campaign(name)
+    m, n = config.max_bugs, campaign.detected_total
+    settled = run_all(campaign, config, SamplerConfig(chains=2, iterations=1200,
+                                                      burn_in=DEFAULT_BURN_IN_CAP, seed=90))
+    low, high = np.quantile(settled.pooled("total_bugs"), [0.005, 0.995])
+    sweeps = DEFAULT_BURN_IN_CAP // 4
+    scfg = SamplerConfig(chains=1, iterations=sweeps, burn_in=0)
+    for start in ("dispersed", "all-included", "all-excluded"):
+        for seed in range(3):
+            run = sampler._start_chain(campaign, config, scfg, np.random.default_rng(seed))
+            if start == "all-included":
+                run.state.include[:] = True
+                run.state.inclusion_prob = (m + 1) / (m + 2)
+            elif start == "all-excluded":
+                run.state.include[n:] = False
+                run.state.inclusion_prob = 1 / (m + 2)
+            table, _ = sampler._advance_chain(campaign, config, scfg, run, sweeps)
+            totals = table[1]
+            assert np.any((low <= totals) & (totals <= high)), (start, seed, low, high, totals)
