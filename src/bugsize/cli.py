@@ -231,10 +231,18 @@ def cmd_reliability(args) -> int:
 def cmd_diagnose(args) -> int:
     chainset = dataio.read_draws(args.draws)
     if chainset.n_chains < 2:
-        raise ValueError("need >=2 chains for convergence diagnostics")
+        raise ValueError(f"{args.draws}: need >=2 chains for convergence diagnostics")
+    if chainset.kept_per_chain < 4:
+        raise ValueError(f"{args.draws}: split R-hat needs at least 4 kept draws per chain, "
+                         f"the file holds {chainset.kept_per_chain}")
     names = chainset.names
     if args.params is not None:
         wanted = [tok.strip() for tok in args.params.split(",") if tok.strip()]
+        if not wanted:
+            raise ValueError(f"--params {args.params!r} names no parameter")
+        repeated = sorted({name for name in wanted if wanted.count(name) > 1})
+        if repeated:
+            raise ValueError(f"--params names {', '.join(repeated)} more than once")
         unknown = [name for name in wanted if name not in names]
         if unknown:
             raise ValueError(

@@ -190,12 +190,21 @@ def drop_rows(source, target, parameter):
     return target
 
 
+def short_fit(tmp_path, campaign_path):
+    """A two-chain fit that keeps 3 draws per chain, too few for split R-hat."""
+    out = tmp_path / "short"
+    assert main(["fit", str(campaign_path), "--chains", "2", "--iters", "5",
+                 "--max-bugs", "20", "--seed", "4", "--out", str(out)]) == 0
+    return out / "draws.csv"
+
+
 @pytest.mark.parametrize("case", ["fit-missing-file", "fit-threads-0", "fit-low-ceiling",
                                   "fit-no-effort", "diagnose-unknown-param",
-                                  "reliability-missing-param", "simulate-empty-grid"])
+                                  "diagnose-short-chains", "reliability-missing-param",
+                                  "simulate-empty-grid"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     campaign = small_campaign_file(tmp_path)
-    if case.startswith(("diagnose", "reliability")):
+    if case in ("diagnose-unknown-param", "reliability-missing-param"):
         _, fitted = run_fit(tmp_path, campaign)
         partial = drop_rows(fitted / "draws.csv", tmp_path / "partial.csv", "remaining_size")
     if case == "fit-no-effort":
@@ -207,6 +216,7 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
         "fit-low-ceiling": lambda: ["fit", str(campaign), "--max-bugs", "4"],
         "fit-no-effort": lambda: ["fit", str(campaign)],
         "diagnose-unknown-param": lambda: ["diagnose", str(partial), "--params", "nope"],
+        "diagnose-short-chains": lambda: ["diagnose", str(short_fit(tmp_path, campaign))],
         "reliability-missing-param": lambda: ["reliability", str(partial), "--epsilon", "10"],
         "simulate-empty-grid": lambda: ["simulate", "--missions", "0"],
     }[case]()
@@ -394,6 +404,32 @@ def test_diagnose_single_chain_rejected(tmp_path, capsys):
     assert ">=2 chains" in capsys.readouterr().err
 
 
+def test_diagnose_short_chains_rejected(tmp_path, capsys):
+    draws = short_fit(tmp_path, small_campaign_file(tmp_path))
+    capsys.readouterr()
+    assert main(["diagnose", str(draws), "--out", str(tmp_path / "fresh")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"bugsize: error: {draws}: split R-hat needs at least 4 kept "
+                            "draws per chain, the file holds 3\n")
+
+
+@pytest.mark.parametrize("params, message", [
+    (",", "--params ',' names no parameter"),
+    ("total_bugs,total_bugs", "--params names total_bugs more than once"),
+], ids=["empty", "repeated"])
+def test_diagnose_rejects_bad_params_lists(tmp_path, capsys, params, message):
+    _, fitted = run_fit(tmp_path, small_campaign_file(tmp_path))
+    out = tmp_path / "fresh"
+    capsys.readouterr()
+    assert main(["diagnose", str(fitted / "draws.csv"), "--params", params,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bugsize: error: {message}\n"
+    assert not out.exists()
+
+
 def test_diagnose_unknown_parameter(tmp_path, capsys):
     campaign_path = small_campaign_file(tmp_path)
     _, out = run_fit(tmp_path, campaign_path)
@@ -469,6 +505,8 @@ draws, campaign, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     assert bugsize.cli.main(["reliability", draws, "--epsilon", "10,50", "--out", out]) == 0
     seen["reliability"] = scipy_modules()
+    assert bugsize.cli.main(["diagnose", draws, "--out", out]) == 0
+    seen["diagnose"] = scipy_modules()
     assert bugsize.cli.main(["fit", campaign, "--chains", "2", "--iters", "40",
                              "--max-bugs", "10", "--out", out]) == 0
 seen["fit"] = scipy_modules()
@@ -476,9 +514,9 @@ print(json.dumps(seen))
 """
 
 
-def test_commands_load_scipy_only_for_rhat(tmp_path):
-    # scipy.stats costs over a second to import; only R-hat's bound needs
-    # scipy at all, and then only scipy.special
+def test_no_command_loads_scipy(tmp_path):
+    # importing scipy.special more than doubles a command's start-up time;
+    # split R-hat's bound computes its quantiles with the standard library
     campaign_path = small_campaign_file(tmp_path)
     _, out = run_fit(tmp_path, campaign_path)
     src = str(Path(bugsize.__file__).resolve().parents[1])
@@ -488,8 +526,5 @@ def test_commands_load_scipy_only_for_rhat(tmp_path):
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    seen = json.loads(probe.stdout)
-    assert seen["import"] == []
-    assert seen["reliability"] == []
-    assert "scipy.special" in seen["fit"]
-    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in seen["fit"])
+    assert json.loads(probe.stdout) == {
+        "import": [], "reliability": [], "diagnose": [], "fit": []}

@@ -1,10 +1,14 @@
+import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from bugsize.diagnostics import (
+    RHAT_CONFIDENCE,
+    _f_isf,
     effective_sample_size,
     split_rhat,
     summarize,
@@ -78,8 +82,32 @@ def test_split_rhat_upper_matches_scipy_stats():
     halves = np.vstack([[0.0, 1.0, 0.0, 1.0, 5.0, 6.0, 5.0, 6.0],
                         [2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0]])
     cases.append(halves)
+    # scipy's quantiles are Boost's; an independent one agrees to the last bits
     for x in cases:
-        assert split_rhat(x)[1] == stats_rhat_upper(x)
+        assert split_rhat(x)[1] == pytest.approx(stats_rhat_upper(x), rel=1e-14, abs=0.0)
+
+
+ALPHA = 1.0 - RHAT_CONFIDENCE
+
+
+@pytest.mark.parametrize("dfn", range(1, 17, 2))
+def test_f_quantile_matches_scipy_stats(dfn):
+    dfds = [0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.5, 10.0, 19.9, 20.0, 47.3, 100.0, 1e3, 1e4,
+            1e6, 1e9, 2e9, 1e12, 1e15]
+    for dfd in dfds:
+        assert _f_isf(ALPHA, dfn, dfd) == pytest.approx(
+            stats.f.isf(ALPHA, dfn, dfd), rel=1e-12, abs=0.0), dfd
+    # an infinite denominator is the chi-square limit, split R-hat's var_w == 0 case
+    assert _f_isf(ALPHA, dfn, math.inf) * dfn == pytest.approx(
+        stats.chi2.isf(ALPHA, dfn), rel=1e-12, abs=0.0)
+
+
+def test_quantiles_match_closed_forms():
+    # F(1, 1) is the square of a standard Cauchy variate, chi2(1) of a standard normal one
+    assert _f_isf(ALPHA, 1, 1.0) == pytest.approx(
+        math.tan((1.0 - ALPHA) * math.pi / 2.0) ** 2, rel=1e-13, abs=0.0)
+    assert _f_isf(ALPHA, 1, math.inf) == pytest.approx(
+        NormalDist().inv_cdf(1.0 - ALPHA / 2.0) ** 2, rel=1e-13, abs=0.0)
 
 
 def test_split_rhat_input_validation():

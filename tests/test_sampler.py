@@ -501,9 +501,10 @@ def test_run_all_bookkeeping():
                              "size[0]", "size[1]", "size[2]", "size[3]",
                              "mean_size[0]", "mean_size[1]", "mean_size[2]", "mean_size[3]"]
     assert tracked.draws.shape == (1, 15, 5)
-    # the kept grid follows the run settings: thinned from an implied burn-in
-    thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=50_000, thin=7, seed=1))
-    assert thinned.kept_per_chain == len(range(DEFAULT_BURN_IN_CAP, 50_000, 7))
+    # the kept grid follows the run settings: thinned from an implied burn-in,
+    # capped because half of 2,000 sweeps exceeds the cap
+    thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=2_000, thin=7, seed=1))
+    assert thinned.kept_per_chain == len(range(DEFAULT_BURN_IN_CAP, 2_000, 7))
     assert thinned.draws.shape == (2, 3, thinned.kept_per_chain)
 
 
