@@ -81,10 +81,12 @@ def split_rhat(chains) -> tuple[float, float]:
     -------
     (rhat, upper) : tuple of float
         Point estimate and upper confidence bound.  Both are 1.0 for
-        all-constant chains and inf when chains are stuck at distinct
-        constants.
+        all-constant chains, inf when chains are stuck at distinct
+        constants, and nan when any draw is nan or infinite.
     """
     x = _as_chain_matrix(chains, min_len=4)
+    if not np.isfinite(x).all():
+        return float("nan"), float("nan")
     n = x.shape[1] // 2
     seqs = np.concatenate([x[:, :n], x[:, x.shape[1] - n :]], axis=0)
     means = seqs.mean(axis=1)

@@ -13,6 +13,7 @@ a negative-binomial prior whose mean is itself gamma distributed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,14 +234,16 @@ def _detection_loglik_ratio(x_new, x_cur, n: int) -> np.ndarray:
     return out
 
 
+# numpy has no log-gamma ufunc; math.lgamma keeps scipy out of the runtime dependencies
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def nb_log_pmf(s, mean, dispersion: float):
     """Negative-binomial log-pmf parameterized by mean and dispersion.
 
     The variance is ``mean + mean**2 / dispersion``; as dispersion grows the
     distribution tightens toward a Poisson with the same mean.
     """
-    from scipy.special import gammaln  # imported here so no command pays for scipy
-
     s_arr = np.asarray(s, dtype=float)
     lam = np.asarray(mean, dtype=float)
     r = float(dispersion)
@@ -251,9 +254,9 @@ def nb_log_pmf(s, mean, dispersion: float):
     if r <= 0:
         raise ValueError("dispersion must be positive")
     out = (
-        gammaln(s_arr + r)
-        - gammaln(r)
-        - gammaln(s_arr + 1.0)
+        _lgamma(s_arr + r)
+        - math.lgamma(r)
+        - _lgamma(s_arr + 1.0)
         - r * np.log1p(lam / r)
         + s_arr * (np.log(lam) - np.log(lam + r))
     )

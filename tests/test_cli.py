@@ -528,3 +528,32 @@ def test_no_command_loads_scipy(tmp_path):
     )
     assert json.loads(probe.stdout) == {
         "import": [], "reliability": [], "diagnose": [], "fit": []}
+
+
+NB_LOG_PMF_PROBE = """
+import bugsize
+assert abs(bugsize.nb_log_pmf(0, 1.0, 1.0) + 0.6931471805599453) < 1e-15
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was importable")
+"""
+
+
+def test_cli_checks_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, the library
+    # and the same end-to-end script that CI runs on the console script must work
+    blocker = tmp_path / "no-scipy" / "scipy"
+    blocker.mkdir(parents=True)
+    (blocker / "__init__.py").write_text('raise ImportError("scipy is blocked")\n')
+    src = str(Path(bugsize.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(blocker.parent), src])}
+    for command in (
+        [sys.executable, "-c", NB_LOG_PMF_PROBE],
+        ["bash", str(Path(__file__).with_name("cli_end_to_end.sh")),
+         sys.executable, "-m", "bugsize"],
+    ):
+        run = subprocess.run(command, capture_output=True, text=True, timeout=300, env=env)
+        assert run.returncode == 0, run.stdout + run.stderr

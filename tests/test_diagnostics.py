@@ -55,6 +55,20 @@ def test_split_rhat_never_below_one():
         assert upper >= rhat
 
 
+def test_split_rhat_non_finite_draw_is_nan():
+    # max(1.0, nan) is 1.0, so a nan draw must be caught before the floor
+    rng = np.random.default_rng(33)
+    for bad in (np.nan, np.inf, -np.inf):
+        chains = rng.standard_normal((3, 100))
+        chains[1, 40] = bad
+        rhat, upper = split_rhat(chains)
+        assert np.isnan(rhat) and np.isnan(upper)
+        with np.errstate(invalid="ignore"):  # an infinite draw's sd and ESS are nan too
+            report = summarize(make_chainset({"good": rng.standard_normal((3, 100)),
+                                              "broken": chains}))
+        assert worst_rhat(report)[0] == "broken"
+
+
 def stats_rhat_upper(x, confidence=0.975):
     """Split R-hat's upper bound with the scipy.stats quantiles (reference)."""
     n = x.shape[1] // 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import gammaln
 
 from bugsize.model import (
     AugmentedState,
@@ -213,6 +214,25 @@ def test_nb_log_pmf_matches_scipy():
         s = rng.integers(0, 400, size=6)
         expected = stats.nbinom.logpmf(s, r, r / (r + lam))
         assert_allclose(nb_log_pmf(s, lam, r), expected, rtol=1e-10)
+
+
+def gammaln_nb_log_pmf(s, mean, dispersion):
+    """``nb_log_pmf``'s formula with scipy's ``gammaln`` for the size terms (reference)."""
+    s = np.asarray(s, dtype=float)
+    return (gammaln(s + dispersion) - gammaln(dispersion) - gammaln(s + 1.0)
+            - dispersion * np.log1p(mean / dispersion)
+            + s * (np.log(mean) - np.log(mean + dispersion)))
+
+
+def test_nb_log_pmf_matches_gammaln_form_on_a_wide_grid():
+    # math.lgamma and gammaln differ in the last bits only; log-uniform
+    # dispersions 0.01-1e5 and means 1e-3-1e4, sizes 0-20,000
+    rng = np.random.default_rng(16)
+    for _ in range(400):
+        r = 10.0 ** rng.uniform(-2.0, 5.0)
+        lam = 10.0 ** rng.uniform(-3.0, 4.0)
+        s = np.append(0, rng.integers(0, 20_001, size=7))
+        assert_allclose(nb_log_pmf(s, lam, r), gammaln_nb_log_pmf(s, lam, r), rtol=1e-10)
 
 
 def test_nb_log_pmf_errors():
