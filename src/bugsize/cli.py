@@ -46,20 +46,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bugsize", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a synthetic campaign with ground truth")
+    shared = argparse.ArgumentParser(add_help=False)  # simulate's and fit's common flags
+    shared.add_argument("--max-bugs", type=int, default=400)
+    shared.add_argument("--nu", type=float, default=ModelConfig.size_exponent,
+                        help="detection-decay exponent")
+    shared.add_argument("--dispersion", type=float, default=ModelConfig.dispersion)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out", default=None, help="output directory")
+
+    sim = sub.add_parser("simulate", parents=[shared],
+                         help="generate a synthetic campaign with ground truth")
     sim.add_argument("--missions", type=int, default=30)
     sim.add_argument("--phases", type=int, default=8)
     sim.add_argument("--true-bugs", type=int, default=100)
-    sim.add_argument("--max-bugs", type=int, default=400)
     sim.add_argument("--t-min", type=int, default=0)
     sim.add_argument("--t-max", type=int, default=50)
-    sim.add_argument("--nu", type=float, default=1.5, help="detection-decay exponent")
-    sim.add_argument("--dispersion", type=float, default=50.0)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", default=None, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
-    fit = sub.add_parser("fit", help="fit a campaign and write draws plus a report")
+    fit = sub.add_parser("fit", parents=[shared],
+                         help="fit a campaign and write draws plus a report")
     fit.add_argument("campaign", help="campaign CSV path")
     fit.add_argument("--chains", type=int, default=3)
     fit.add_argument("--iters", type=int, default=50_000)
@@ -67,17 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="sweeps each chain discards before keeping draws (default: "
                           f"half of --iters, at most {DEFAULT_BURN_IN_CAP})")
     fit.add_argument("--thin", type=int, default=1)
-    fit.add_argument("--nu", type=float, default=1.5, help="detection-decay exponent")
-    fit.add_argument("--max-bugs", type=int, default=400)
-    fit.add_argument("--dispersion", type=float, default=50.0)
-    fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--threads", type=int, default=None,
                      help="max worker processes, one chain each (default: one per "
                           "chain, up to the usable CPUs; 1 runs the chains serially)")
     fit.add_argument("--rhat-warn", type=float, default=1.1)
     fit.add_argument("--strict", action="store_true",
                      help="treat a convergence warning as a soft failure (exit 2)")
-    fit.add_argument("--out", default=None, help="output directory")
     fit.set_defaults(func=cmd_fit)
 
     rel = sub.add_parser("reliability", help="reliability curve from a draws file")
@@ -89,18 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diagnose", help="convergence diagnostics and trace exports")
     diag.add_argument("draws", help="draws CSV path")
-    diag.add_argument("--params", default=None,
-                      help="comma-separated parameter filter "
-                           "(default: every parameter in the file)")
     diag.add_argument("--out", default=None, help="output directory for trace files")
     diag.set_defaults(func=cmd_diagnose)
     return parser
 
 
+def _model_config(args) -> ModelConfig:
+    return ModelConfig(max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion)
+
+
 def cmd_simulate(args) -> int:
-    config = ModelConfig(
-        max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion
-    )
+    config = _model_config(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     campaign, truth = simulate.generate_campaign(
         config, args.missions, args.phases, args.true_bugs, (args.t_min, args.t_max), rng
@@ -154,9 +153,7 @@ def cmd_fit(args) -> int:
     if not math.isfinite(args.rhat_warn):
         raise ValueError(f"--rhat-warn must be a finite number, got {args.rhat_warn}")
     campaign = dataio.read_campaign(args.campaign)
-    model_config = ModelConfig(
-        max_bugs=args.max_bugs, size_exponent=args.nu, dispersion=args.dispersion
-    )
+    model_config = _model_config(args)
     sampler_config = SamplerConfig(
         chains=args.chains,
         iterations=args.iters,
@@ -235,27 +232,11 @@ def cmd_diagnose(args) -> int:
     if chainset.kept_per_chain < 4:
         raise ValueError(f"{args.draws}: split R-hat needs at least 4 kept draws per chain, "
                          f"the file holds {chainset.kept_per_chain}")
-    names = chainset.names
-    if args.params is not None:
-        wanted = [tok.strip() for tok in args.params.split(",") if tok.strip()]
-        if not wanted:
-            raise ValueError(f"--params {args.params!r} names no parameter")
-        repeated = sorted({name for name in wanted if wanted.count(name) > 1})
-        if repeated:
-            raise ValueError(f"--params names {', '.join(repeated)} more than once")
-        unknown = [name for name in wanted if name not in names]
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {', '.join(unknown)}; tracked: {', '.join(names)}"
-            )
-        names = wanted
+    report = diagnostics.summarize(chainset)
     out = _out_dir(args)
     print(f"{'parameter':<18} {'R-hat':>8} {'upper':>8} {'ESS':>12}")
-    for name in names:
-        x = chainset.matrix(name)
-        rhat, upper = diagnostics.split_rhat(x)
-        ess = diagnostics.effective_sample_size(x)
-        print(f"{name:<18} {rhat:8.4f} {upper:8.4f} {ess:12.2f}")
+    for name, summary in report.items():
+        print(f"{name:<18} {summary.rhat:8.4f} {summary.rhat_upper:8.4f} {summary.ess:12.2f}")
         safe = name.replace("[", "_").replace("]", "")
         dataio.write_trace(diagnostics.trace_export(chainset, name), out / f"trace_{safe}.csv")
     print(f"trace files in: {out}")

@@ -14,18 +14,7 @@ import numpy as np
 
 from .model import TestCampaign
 
-__all__ = ["flight_software_campaign", "SAMPLE_CAMPAIGN_CSV"]
-
-# Published sample cells of the source log (mission, phase, test cases, bugs).
-SAMPLE_CAMPAIGN_CSV = """\
-mission,phase,test_cases,bugs_detected
-M1,1,61,3
-M1,2,10,0
-M1,8,38,0
-M2,1,59,9
-M2,2,10,0
-M2,8,65,0
-"""
+__all__ = ["flight_software_campaign"]
 
 _MISSIONS = 35
 _PHASES = 8

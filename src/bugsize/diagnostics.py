@@ -244,9 +244,12 @@ def effective_sample_size(chains) -> float:
     (always non-negative for a reversible chain), truncated at the first
     non-positive pair, forced non-increasing, and folded into the usual
     autocorrelation-time estimate.  Constant chains report the total draw
-    count; the result is clipped to twice the total draw count.
+    count; the result is clipped to twice the total draw count, and is nan
+    when any draw is nan or infinite.
     """
     x = _as_chain_matrix(chains, min_len=4)
+    if not np.isfinite(x).all():
+        return float("nan")
     m, n = x.shape
     total = m * n
     chain_vars = x.var(axis=1, ddof=1)
@@ -316,15 +319,17 @@ def summarize(chainset: ChainSet) -> dict[str, ParameterSummary]:
     summaries: dict[str, ParameterSummary] = {}
     for name in chainset.names:
         x = chainset.matrix(name)
-        chain_means = x.mean(axis=1)
-        chain_sds = x.std(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(x.shape[0])
+        counts = np.full(x.shape[0], x.shape[1])
+        # infinite draws make these nan (inf - inf), which the fields report
+        with np.errstate(invalid="ignore"):
+            chain_means = x.mean(axis=1)
+            chain_sds = x.std(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(x.shape[0])
+            pooled_mean = float(np.average(chain_means, weights=counts))
+            lo, hi = np.quantile(x.reshape(-1), [tail, 1.0 - tail])
         cvs = tuple(
             _coefficient_of_variation(float(mu), float(sd))
             for mu, sd in zip(chain_means, chain_sds)
         )
-        counts = np.full(x.shape[0], x.shape[1])
-        pooled_mean = float(np.average(chain_means, weights=counts))
-        lo, hi = np.quantile(x.reshape(-1), [tail, 1.0 - tail])
         if chainset.n_chains >= 2 and x.shape[1] >= 4:
             rhat, upper = split_rhat(x)
             ess = effective_sample_size(x)

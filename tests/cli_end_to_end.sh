@@ -6,9 +6,10 @@
 #   tests/cli_end_to_end.sh python -m bugsize    # a source checkout
 #
 # Checks: a default fit records the three posterior quantities only; the
-# default burn-in is half of --iters, at most 200 sweeps; diagnose and
-# reliability read the fit; a pooled fit writes the serial fit's draws and
-# report byte for byte.  Exits non-zero at the first failure.
+# default burn-in is half of --iters, at most 200 sweeps; diagnose prints
+# report.json's R-hat, upper bound and ESS for every parameter; reliability
+# reads the fit; a pooled fit writes the serial fit's draws and report byte
+# for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -28,7 +29,26 @@ test "$params" = "inclusion_prob remaining_size total_bugs "
 grep -qx '# meta chains=3 iterations=200 burn_in=100 thin=1 base_seed=2' "$out/draws.csv"
 "${bugsize[@]}" fit "$out/campaign.csv" --iters 1000 --max-bugs 80 --seed 2 --out "$out/long"
 grep -qx '# meta chains=3 iterations=1000 burn_in=200 thin=1 base_seed=2' "$out/long/draws.csv"
-"${bugsize[@]}" diagnose "$out/draws.csv" --out "$out"
+"${bugsize[@]}" diagnose "$out/draws.csv" --out "$out" | tee "$out/diagnose.txt"
+python3 - "$out/diagnose.txt" "$out/report.json" <<'EOF'
+import json, sys
+
+def agree(printed, value, decimals):
+    # report.json writes nan and inf as null
+    return printed in ("nan", "inf") if value is None else printed == f"{value:.{decimals}f}"
+
+diagnose, report = sys.argv[1:]
+params = json.load(open(report, encoding="utf-8"))["parameters"]
+rows = {}
+for line in open(diagnose, encoding="utf-8").read().splitlines()[1:]:
+    fields = line.split()
+    if len(fields) == 4 and fields[0] in params:
+        rows[fields[0]] = fields[1:]
+for name, p in params.items():
+    assert name in rows, f"diagnose printed no row for {name}"
+    checks = zip(rows[name], (p["rhat"], p["rhat_upper"], p["ess"]), (4, 4, 2))
+    assert all(agree(*check) for check in checks), f"{name}: {rows[name]} against {p}"
+EOF
 "${bugsize[@]}" reliability "$out/draws.csv" --epsilon 50,100,200 --out "$out"
 
 # 3 chains on 2 workers hand each chain between workers; 4 on 2 run whole chains

@@ -199,12 +199,11 @@ def short_fit(tmp_path, campaign_path):
 
 
 @pytest.mark.parametrize("case", ["fit-missing-file", "fit-threads-0", "fit-low-ceiling",
-                                  "fit-no-effort", "diagnose-unknown-param",
-                                  "diagnose-short-chains", "reliability-missing-param",
-                                  "simulate-empty-grid"])
+                                  "fit-no-effort", "diagnose-short-chains",
+                                  "reliability-missing-param", "simulate-empty-grid"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     campaign = small_campaign_file(tmp_path)
-    if case in ("diagnose-unknown-param", "reliability-missing-param"):
+    if case == "reliability-missing-param":
         _, fitted = run_fit(tmp_path, campaign)
         partial = drop_rows(fitted / "draws.csv", tmp_path / "partial.csv", "remaining_size")
     if case == "fit-no-effort":
@@ -215,7 +214,6 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
         # the sampler's own input checks run before --out is made
         "fit-low-ceiling": lambda: ["fit", str(campaign), "--max-bugs", "4"],
         "fit-no-effort": lambda: ["fit", str(campaign)],
-        "diagnose-unknown-param": lambda: ["diagnose", str(partial), "--params", "nope"],
         "diagnose-short-chains": lambda: ["diagnose", str(short_fit(tmp_path, campaign))],
         "reliability-missing-param": lambda: ["reliability", str(partial), "--epsilon", "10"],
         "simulate-empty-grid": lambda: ["simulate", "--missions", "0"],
@@ -412,31 +410,6 @@ def test_diagnose_short_chains_rejected(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"bugsize: error: {draws}: split R-hat needs at least 4 kept "
                             "draws per chain, the file holds 3\n")
-
-
-@pytest.mark.parametrize("params, message", [
-    (",", "--params ',' names no parameter"),
-    ("total_bugs,total_bugs", "--params names total_bugs more than once"),
-], ids=["empty", "repeated"])
-def test_diagnose_rejects_bad_params_lists(tmp_path, capsys, params, message):
-    _, fitted = run_fit(tmp_path, small_campaign_file(tmp_path))
-    out = tmp_path / "fresh"
-    capsys.readouterr()
-    assert main(["diagnose", str(fitted / "draws.csv"), "--params", params,
-                 "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"bugsize: error: {message}\n"
-    assert not out.exists()
-
-
-def test_diagnose_unknown_parameter(tmp_path, capsys):
-    campaign_path = small_campaign_file(tmp_path)
-    _, out = run_fit(tmp_path, campaign_path)
-    code = main(["diagnose", str(out / "draws.csv"), "--params", "nope", "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "nope" in err and "inclusion_prob" in err
 
 
 # -------------------------------------------------------------- exit codes

@@ -14,7 +14,6 @@ from bugsize.dataio import (
     write_trace,
 )
 from bugsize.cli import main
-from bugsize.datasets import SAMPLE_CAMPAIGN_CSV
 from bugsize.diagnostics import summarize, trace_export
 from bugsize.model import ModelConfig, TestCampaign
 from bugsize.sampler import SamplerConfig, run_all
@@ -35,7 +34,12 @@ def small_chainset():
 
 def test_read_campaign_sample_rows(tmp_path):
     path = tmp_path / "sample.csv"
-    path.write_text(SAMPLE_CAMPAIGN_CSV)
+    # the published sample cells of the flight-software log (mission, phase, cases, bugs)
+    path.write_text(
+        "mission,phase,test_cases,bugs_detected\n"
+        "M1,1,61,3\nM1,2,10,0\nM1,8,38,0\n"
+        "M2,1,59,9\nM2,2,10,0\nM2,8,65,0\n"
+    )
     campaign = read_campaign(path)
     assert (campaign.missions, campaign.phases) == (2, 3)
     # published anchors: mission 1 phase 1 has 61 cases / 3 bugs, mission 2 has 59 / 9

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -205,6 +206,26 @@ def test_summarize_credible_interval_quantiles():
     s = summarize(make_chainset({"p": x}))["p"]
     lo, hi = np.quantile(x.reshape(-1), [0.025, 0.975])
     assert s.ci_lower == lo and s.ci_upper == hi
+
+
+@pytest.mark.parametrize("bad", [
+    {(1, 40): np.inf},
+    {(1, 40): -np.inf},
+    {(1, 40): np.nan},
+    {(1, 40): np.inf, (2, 3): -np.inf},
+], ids=["inf", "-inf", "nan", "inf-and-minus-inf"])
+def test_summarize_non_finite_draw_is_quiet(bad):
+    # a non-finite draw is reported as nan fields, not as numpy RuntimeWarnings
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((3, 100))
+    for cell, value in bad.items():
+        x[cell] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(make_chainset({"broken": x}))["broken"]
+    assert np.isnan(s.chain_sds[1]) and np.isnan(s.chain_cvs[1])
+    assert np.isnan(s.rhat) and np.isnan(s.rhat_upper) and np.isnan(s.ess)
+    assert np.isfinite(s.chain_sds[0])
 
 
 def test_summarize_empty_rejected():
