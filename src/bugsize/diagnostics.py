@@ -304,6 +304,37 @@ def _coefficient_of_variation(mean: float, sd: float) -> float:
     return 0.0 if sd == 0.0 else float("nan")
 
 
+def _linear_quantiles(draws: np.ndarray, levels) -> list[float]:
+    """``np.quantile(draws, levels)`` (its default linear method), the same bits, without numpy.ma.
+
+    ``np.quantile`` builds its partition points with ``np.unique``, which
+    imports ``numpy.ma``.  This takes numpy's steps itself: the point
+    ``(n - 1) * q`` of each level, its neighbours ``floor`` and ``floor + 1``
+    (both the last draw, index -1, at or past ``n - 1``), one partition of a
+    copy of the draws at those indices plus 0 and -1, then numpy's ``_lerp``.
+    Partitioning at the same indices places tied values (0.0 and -0.0) as
+    numpy does, so the signs of zeros agree too.  Any nan draw makes every
+    quantile nan.
+    """
+    pooled = draws.flatten()  # a copy, which the partition reorders
+    n = pooled.size
+    points = []
+    for q in levels:
+        at = (n - 1) * q
+        below = math.floor(at) if at < n - 1 else -1
+        points.append((at, below, below + 1 if below >= 0 else -1))
+    pooled.partition(sorted({0, -1, *(i for _, *pair in points for i in pair)}))
+    if math.isnan(pooled[-1]):
+        return [float(pooled[-1])] * len(points)
+    out = []
+    for at, below, above in points:
+        a, b, t = float(pooled[below]), float(pooled[above]), at - below
+        # numpy's _lerp: from the nearer end, so t = 0 and t = 1 give a and b exactly
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def summarize(chainset: ChainSet) -> dict[str, ParameterSummary]:
     """Posterior summary table over all tracked parameters, keyed by name.
 
@@ -325,7 +356,7 @@ def summarize(chainset: ChainSet) -> dict[str, ParameterSummary]:
             chain_means = x.mean(axis=1)
             chain_sds = x.std(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(x.shape[0])
             pooled_mean = float(np.average(chain_means, weights=counts))
-            lo, hi = np.quantile(x.reshape(-1), [tail, 1.0 - tail])
+            lo, hi = _linear_quantiles(x, (tail, 1.0 - tail))
         cvs = tuple(
             _coefficient_of_variation(float(mu), float(sd))
             for mu, sd in zip(chain_means, chain_sds)

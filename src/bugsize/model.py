@@ -13,6 +13,7 @@ a negative-binomial prior whose mean is itself gamma distributed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -156,6 +157,12 @@ class AugmentedState:
             raise ValueError(f"detected count {n} outside [0, max_bugs={self.max_bugs}]")
         if not self.include[:n].all():
             raise ValueError("every detected candidate must be included")
+        # the sweep reads the detection kernel at index size, where a negative
+        # size would wrap to the table's end
+        size = self.size
+        integer = isinstance(size, np.ndarray) and np.issubdtype(size.dtype, np.integer)
+        if not integer or np.any(size < 0):
+            raise ValueError("size must be an integer array of non-negative values")
 
     @property
     def max_bugs(self) -> int:
@@ -211,27 +218,68 @@ def _log_detection_prob(x):
     return np.log(-np.expm1(-x))
 
 
-def _detection_loglik_ratio(x_new, x_cur, n: int) -> np.ndarray:
-    """Detection log-likelihood at new sizes minus at current ones, for included candidates.
+# Sizes 0..KERNEL_TABLE_SIZES - 1 read the detection kernel from a table
+# (3 float arrays, 96 KB).  Sizes are integer counts of inputs, and fits at
+# the default prior keep them far below this (at most 271 on the bundled
+# campaign, 284 on a simulated M = 4,000 one); larger ones are computed
+# directly, so the table never grows.
+KERNEL_TABLE_SIZES = 4096
+
+
+class _DetectionTable:
+    """The detection kernel of every size below ``KERNEL_TABLE_SIZES``, for one ``(exponent, t_max)``.
+
+    ``rate[s] = s**exponent / t_max``, ``escape[s] = exp(-rate[s])`` (the
+    chance that a real bug of size ``s`` escapes the campaign) and
+    ``log_alpha[s] = log(1 - exp(-rate[s]))``, each computed by the same
+    function a direct evaluation uses, so a lookup gives the same bits.  The
+    ``*_at`` methods look sizes up, and compute them directly when any lies
+    outside the table (``IndexError``: a size of ``KERNEL_TABLE_SIZES`` or
+    more, or a non-integer size).
 
     A candidate's detection log-likelihood is ``log(alpha)`` if it was
     detected (``alpha`` is :func:`detection_prob`), ``log(1 - alpha) =
-    -size**exponent / t_max`` if it is included but was never detected, and
-    0 if it is excluded.  A detected bug's cell term
-    ``cell_probabilities(T)[j, k]`` does not depend on its size, so it is a
-    constant that cancels from the ratio: the campaign enters only through
-    ``t_max`` and the detected count ``n``.
-
-    Takes the rates of included candidates only (an excluded one's ratio is
-    0), in candidate order, so the ``n`` detected ones, always included, come
-    first.  ``-x_new - (-x_cur)`` equals ``x_cur - x_new`` exactly in floating
-    point, so undetected candidates cost one subtraction, and only the
-    detected ones pay for ``log(alpha)``.  A detected candidate at size 0 has
-    ``log(alpha) = -inf``; the caller ignores divide warnings.
+    -rate`` if it is included but was never detected, and 0 if it is
+    excluded.  A detected bug's cell term ``cell_probabilities(T)[j, k]``
+    does not depend on its size, so it is a constant that cancels from every
+    ratio of two sizes: the campaign enters only through ``t_max`` and the
+    detected count ``n``.  ``log_alpha[0]`` is ``-inf``: a bug of size 0 is
+    never detected.
     """
-    out = x_cur - x_new
-    out[:n] = _log_detection_prob(x_new[:n]) - _log_detection_prob(x_cur[:n])
-    return out
+
+    def __init__(self, exponent: float, t_max: float):
+        self.exponent, self.t_max = exponent, t_max
+        self.rate = _detection_rate(np.arange(KERNEL_TABLE_SIZES), exponent, t_max)
+        self.escape = np.exp(-self.rate)
+        with np.errstate(divide="ignore"):
+            self.log_alpha = _log_detection_prob(self.rate)
+        for column in (self.rate, self.escape, self.log_alpha):
+            column.flags.writeable = False
+
+    def rate_at(self, size) -> np.ndarray:
+        try:
+            return self.rate[size]
+        except IndexError:
+            return _detection_rate(size, self.exponent, self.t_max)
+
+    def escape_at(self, size) -> np.ndarray:
+        try:
+            return self.escape[size]
+        except IndexError:
+            return np.exp(-_detection_rate(size, self.exponent, self.t_max))
+
+    def log_alpha_at(self, size) -> np.ndarray:
+        """``log(alpha)`` at each size; the caller ignores divide warnings (size 0 is ``-inf``)."""
+        try:
+            return self.log_alpha[size]
+        except IndexError:
+            return _log_detection_prob(_detection_rate(size, self.exponent, self.t_max))
+
+
+@functools.lru_cache(maxsize=8)
+def _detection_table(exponent: float, t_max: float) -> _DetectionTable:
+    """The shared, read-only table of one ``(exponent, t_max)``, built on first use."""
+    return _DetectionTable(exponent, t_max)
 
 
 # numpy has no log-gamma ufunc; math.lgamma keeps scipy out of the runtime dependencies

@@ -10,19 +10,21 @@ each owning a seeded random generator spawned from the base seed.
 The campaign reaches the sampler as two numbers, the detected count ``n``
 and ``t_max``: candidates ``[:n]`` are the detected ones, always included.
 
-The sweep evaluates the detection kernel ``x = size**nu / t_max`` only
-where it is needed: the inclusion update for the undetected candidates, the
-sizes update for the included candidates alone (an excluded candidate's
-likelihood is flat, so it takes its proposal for certain), at their current
-and proposed sizes, with ``log(alpha)`` for the detected ones.  Its random
-calls, their arguments and their order are those of evaluating the full
-detection log-likelihood of every candidate at both sizes, so the draws are
-the same bit for bit.
+Sizes are integer counts, so the sweep looks the detection kernel up by
+size in a table that ``model`` builds once per ``(nu, t_max)``: the rate
+``x = size**nu / t_max``, the escape chance ``exp(-x)`` and ``log(alpha)``,
+each the bits a direct evaluation gives (a size past the table's end is
+evaluated directly).  It reads them only where they are needed: the
+inclusion update for the undetected candidates, the sizes update for the
+included candidates alone (an excluded candidate's likelihood is flat, so it
+takes its proposal for certain), at their current and proposed sizes, with
+``log(alpha)`` for the detected ones.  Its random calls, their arguments and
+their order are those of evaluating the full detection log-likelihood of
+every candidate at both sizes, so the draws are the same bit for bit.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,8 +36,7 @@ from .model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
-    _detection_loglik_ratio,
-    _detection_rate,
+    _detection_table,
     nb_log_pmf,  # not called here; perfbench's tracer wraps sampler.nb_log_pmf
 )
 
@@ -192,8 +193,8 @@ def update_inclusion(
     psi = state.inclusion_prob
     n = state.n_detected
     if use_likelihood:
-        x = _detection_rate(state.size[n:], config.size_exponent, t_max)
-        weight = psi * np.exp(-x)
+        kernel = _detection_table(config.size_exponent, t_max)
+        weight = psi * kernel.escape_at(state.size[n:])
         q = weight / (weight + (1.0 - psi))
     else:
         q = psi
@@ -227,14 +228,17 @@ def update_sizes(
     # (the detected ones, always included, are the first n of them)
     scored = np.flatnonzero(state.include)
     if use_likelihood and scored.size:
-        cur = state.size[scored]
-        x_cur = _detection_rate(cur, config.size_exponent, t_max)
-        x_new = _detection_rate(proposal[scored], config.size_exponent, t_max)
+        n = state.n_detected
+        kernel = _detection_table(config.size_exponent, t_max)
+        cur, new = state.size[scored], proposal[scored]
+        # -rate[new] - (-rate[cur]) equals rate[cur] - rate[new] exactly, so an
+        # undetected candidate's ratio is one subtraction; the n detected ones,
+        # always included, come first and take the log(alpha) ratio
+        log_ratio = kernel.rate_at(cur) - kernel.rate_at(new)
         with np.errstate(divide="ignore"):
-            log_ratio = _detection_loglik_ratio(x_new, x_cur, state.n_detected)
+            log_ratio[:n] = kernel.log_alpha_at(new[:n]) - kernel.log_alpha_at(cur[:n])
             accept = np.log(u[scored]) < log_ratio
-        rejected = ~accept
-        proposal[scored[rejected]] = cur[rejected]
+        proposal[scored] = np.where(accept, new, cur)
         state.size = proposal
         return float(np.count_nonzero(accept) / scored.size)
     state.size = proposal
@@ -259,7 +263,9 @@ def update_mean_sizes(
     b = config.mean_size_rate
     r = config.dispersion
     s = state.size.astype(float)
-    proposal = rng.gamma(a + s, 1.0 / (b + 1.0))
+    # numpy draws gamma(shape, scale) as scale * standard_gamma(shape): the
+    # same bits, without the array check of a scale argument
+    proposal = rng.standard_gamma(a + s) * (1.0 / (b + 1.0))
     cur = state.mean_size
     # nb_log_pmf(s, lam, r) - (s*log(lam) - lam) = const(s) - (r + s)*log(r + lam) + lam,
     # so every gammaln term depends on the size alone and cancels from the ratio
@@ -375,11 +381,13 @@ def _advance_chain(
         if update_means:
             accept_mean += update_mean_sizes(state, model_config, rng)
         if it in here:
-            remaining = np.dot(state.size[n:], state.include[n:])
-            table[:, here.index(it)] = np.concatenate((
-                (state.inclusion_prob, state.total_bugs, remaining),
-                state.include[track], state.size[track], state.mean_size[track],
-            ))
+            col = here.index(it)
+            table[0, col] = state.inclusion_prob
+            table[1, col] = state.total_bugs
+            table[2, col] = np.dot(state.size[n:], state.include[n:])
+            if track.size:
+                table[3:, col] = np.concatenate(
+                    (state.include[track], state.size[track], state.mean_size[track]))
     return table, _Run(state, rng, stop, accept_size, accept_mean)
 
 
@@ -478,6 +486,9 @@ def _run_pooled(
     lowest failed chain's error is raised.  No segment of a chain numbered
     above it starts once the failure is seen.
     """
+    # imported here: a serial command need not load the pool or its logging
+    import concurrent.futures
+
     segment = partial(_run_segment, campaign, model_config, sampler_config)
     pieces = workers // math.gcd(len(seqs), workers)
     stops = [(k + 1) * sampler_config.iterations // pieces for k in range(pieces)]

@@ -8,8 +8,9 @@
 # Checks: a default fit records the three posterior quantities only; the
 # default burn-in is half of --iters, at most 200 sweeps; diagnose prints
 # report.json's R-hat, upper bound and ESS for every parameter; reliability
-# reads the fit; a pooled fit writes the serial fit's draws and report byte
-# for byte.  Exits non-zero at the first failure.
+# reads the fit; reliability and diagnose import neither numpy.ma nor
+# concurrent.futures; a pooled fit writes the serial fit's draws and report
+# byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -50,6 +51,19 @@ for name, p in params.items():
     assert all(agree(*check) for check in checks), f"{name}: {rows[name]} against {p}"
 EOF
 "${bugsize[@]}" reliability "$out/draws.csv" --epsilon 50,100,200 --out "$out"
+
+# reading a fit loads neither numpy.ma nor the process pool; names are matched
+# whole, since numpy.matrixlib begins with the text "numpy.ma"
+for command in "reliability --epsilon 100" diagnose; do
+  read -ra argv <<< "$command"
+  PYTHONPROFILEIMPORTTIME=1 "${bugsize[@]}" "${argv[@]}" "$out/draws.csv" \
+    --out "$out/imports" 2> "$out/imports.txt" > /dev/null
+  grep -Eq '\| +numpy$' "$out/imports.txt"  # the import profile was written
+  if grep -E '\| +(numpy\.ma|concurrent\.futures)$' "$out/imports.txt"; then
+    echo "${argv[0]} imports the module(s) above" >&2
+    exit 1
+  fi
+done
 
 # 3 chains on 2 workers hand each chain between workers; 4 on 2 run whole chains
 for chains in 3 4; do

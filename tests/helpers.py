@@ -33,8 +33,8 @@ def detection_loglik(size, include, detected, exponent, t_max):
     ``model.detection_prob``), ``log(1 - alpha) = -size**exponent / t_max``
     for an included candidate never detected, and 0 for an excluded one; the
     cell term cancels from every ratio and is omitted.  ``detected`` is a
-    boolean mask.  The reference that the sampler's
-    ``model._detection_loglik_ratio`` must match bit for bit.
+    boolean mask.  The reference whose ratio at proposed and current sizes
+    the sampler's size update must match bit for bit.
     """
     x = _detection_rate(size, exponent, t_max)
     with np.errstate(divide="ignore"):

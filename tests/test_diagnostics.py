@@ -200,12 +200,25 @@ def test_summarize_cv_definition():
         assert abs(cv - 100.0 * sd / mean) < 1e-12
 
 
+def interval_bytes(s):
+    return np.array([s.ci_lower, s.ci_upper]).tobytes()
+
+
 def test_summarize_credible_interval_quantiles():
+    # summarize takes its interval without np.quantile, which imports numpy.ma;
+    # the bits must be np.quantile's, signs of zeros included, since
+    # report.json prints them
     rng = np.random.default_rng(36)
-    x = rng.standard_normal((3, 2000))
-    s = summarize(make_chainset({"p": x}))["p"]
-    lo, hi = np.quantile(x.reshape(-1), [0.025, 0.975])
-    assert s.ci_lower == lo and s.ci_upper == hi
+    cases = [rng.standard_normal((3, 2000)), np.array([[-0.0]]), np.array([[2.5]])]
+    for _ in range(100):
+        shape = (rng.integers(1, 4), rng.integers(1, 200))
+        cases.append(rng.standard_normal(shape))
+        cases.append(np.round(rng.normal(0.0, 0.3, shape)))  # 0.0, -0.0 and ties
+        cases.append(rng.choice([-0.0, 0.0, 1.0], shape))
+        cases.append(rng.integers(0, 4, shape).astype(float))  # ties
+    for x in cases:
+        s = summarize(make_chainset({"p": x}))["p"]
+        assert interval_bytes(s) == np.quantile(x.reshape(-1), [0.025, 0.975]).tobytes()
 
 
 @pytest.mark.parametrize("bad", [
@@ -226,6 +239,8 @@ def test_summarize_non_finite_draw_is_quiet(bad):
     assert np.isnan(s.chain_sds[1]) and np.isnan(s.chain_cvs[1])
     assert np.isnan(s.rhat) and np.isnan(s.rhat_upper) and np.isnan(s.ess)
     assert np.isfinite(s.chain_sds[0])
+    with np.errstate(invalid="ignore"):
+        assert interval_bytes(s) == np.quantile(x.reshape(-1), [0.025, 0.975]).tobytes()
 
 
 def test_summarize_empty_rejected():

@@ -5,9 +5,13 @@ from scipy import stats
 from scipy.special import gammaln
 
 from bugsize.model import (
+    KERNEL_TABLE_SIZES,
     AugmentedState,
     ModelConfig,
     TestCampaign,
+    _detection_rate,
+    _detection_table,
+    _log_detection_prob,
     cell_probabilities,
     detection_prob,
     nb_log_pmf,
@@ -73,10 +77,10 @@ def test_model_config_rejects_non_finite_or_non_positive(field, value):
 
 
 def test_augmented_state_validation():
-    def state(include, n_detected):
+    def state(include, n_detected, size=np.array([3, 0], dtype=np.int64)):
         return AugmentedState(
             include=np.array(include),
-            size=np.array([3, 0], dtype=np.int64),
+            size=size,
             mean_size=np.array([2.0, 2.0]),
             inclusion_prob=0.4,
             n_detected=n_detected,
@@ -91,6 +95,12 @@ def test_augmented_state_validation():
     # candidates [:n] are the detected ones, and a detected candidate is real
     with pytest.raises(ValueError, match="^every detected candidate must be included$"):
         state([False, True], 1)
+    # the sweep looks the detection kernel up at index size: a negative size
+    # would read the table's end
+    for size in (np.array([3, -1]), np.array([3.0, 0.0]), [3, 0]):
+        with pytest.raises(ValueError,
+                           match="^size must be an integer array of non-negative values$"):
+            state([True, False], 1, size)
 
 
 # ------------------------------------------------------ cell probabilities
@@ -154,6 +164,28 @@ def test_detection_prob_errors():
 
 
 # ---------------------------------------------------- detection likelihood
+
+@pytest.mark.parametrize("exponent, t_max", [(1.5, 175), (1.5, 1999), (1.0, 1), (2.3, 40)])
+def test_detection_table_is_the_direct_kernel_bit_for_bit(exponent, t_max):
+    # every entry equals the direct evaluation, here of the sizes in shuffled
+    # order, so that no entry is compared with itself
+    table = _detection_table(exponent, t_max)
+    sizes = np.random.default_rng(3).permutation(KERNEL_TABLE_SIZES)
+    rate = _detection_rate(sizes, exponent, t_max)
+    with np.errstate(divide="ignore"):
+        log_alpha = _log_detection_prob(rate)
+    for column, direct in ((table.rate, rate), (table.escape, np.exp(-rate)),
+                           (table.log_alpha, log_alpha)):
+        assert column.shape == (KERNEL_TABLE_SIZES,) and not column.flags.writeable
+        assert column[sizes].tobytes() == direct.tobytes()
+    assert _detection_table(exponent, t_max) is table
+    # a size past the table's end, or not an integer, is computed directly
+    for outside in (np.array([5, KERNEL_TABLE_SIZES]), np.array([5.0, 7.5])):
+        rate = _detection_rate(outside, exponent, t_max)
+        assert table.rate_at(outside).tobytes() == rate.tobytes()
+        assert table.escape_at(outside).tobytes() == np.exp(-rate).tobytes()
+        assert table.log_alpha_at(outside).tobytes() == _log_detection_prob(rate).tobytes()
+
 
 def test_detection_loglik_cases():
     # an excluded candidate is undetected with probability 1

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 from bugsize import sampler
 from bugsize.datasets import flight_software_campaign
 from bugsize.model import (
+    KERNEL_TABLE_SIZES,
     AugmentedState,
     ModelConfig,
     TestCampaign,
@@ -342,13 +343,20 @@ def pinned_state(layout, m=10_000, seed=30):
     # where log(alpha) is -inf and the proposal must be refused
     tiny = detected & (rng.random(m) < 0.2)
     mean_size[tiny] = 1e-6
+    if layout == "straddle":
+        # the last detected candidate and the first undetected one, both
+        # included, propose sizes on both sides of the kernel table's end, so
+        # the sweep looks some calls up and computes others directly
+        near = [n - 1, n]
+        mean_size[near] = KERNEL_TABLE_SIZES
+        include[near] = True
     size = np.maximum(rng.negative_binomial(5.0, 5.0 / (5.0 + mean_size)), detected)
     return make_state(include, size, mean_size, rng.random(), n)
 
 
 @pytest.mark.parametrize(
     "layout, use_likelihood",
-    [("prefix", True), ("all-excluded", True), ("prefix", False)],
+    [("prefix", True), ("all-excluded", True), ("prefix", False), ("straddle", True)],
 )
 def test_updates_match_reference_bit_for_bit(layout, use_likelihood):
     t_max = 400
@@ -361,7 +369,9 @@ def test_updates_match_reference_bit_for_bit(layout, use_likelihood):
         r = config.dispersion
         probe = np.random.default_rng(31).negative_binomial(r, r / (r + state.mean_size))
         assert np.any(probe[: state.n_detected] == 0)
+    past_table_end = []
     for _ in range(4):
+        past_table_end.append(state.size.max() >= KERNEL_TABLE_SIZES)
         assert_same_acceptance(
             update_sizes(state, t_max, config, rng, use_likelihood),
             ref_update_sizes(ref, t_max, config, ref_rng, use_likelihood),
@@ -376,6 +386,9 @@ def test_updates_match_reference_bit_for_bit(layout, use_likelihood):
             update_mean_sizes(state, config, rng), ref_update_mean_sizes(ref, config, ref_rng)
         )
         assert_same_bits(state, ref)
+    if layout == "straddle":
+        # some sweeps, not all, start from sizes past the table's end
+        assert any(past_table_end) and not all(past_table_end)
 
 
 def test_updates_follow_state_assigned_between_them():
