@@ -192,8 +192,10 @@ def cell_probabilities(test_cases):
 
 
 def _detection_rate(size, exponent: float, t_max: float) -> np.ndarray:
-    # x = size**exponent / t_max; a real bug escapes the campaign w.p. exp(-x)
-    return np.power(size, exponent, dtype=float) / t_max
+    # x = size**exponent / t_max; a real bug escapes the campaign w.p. exp(-x).
+    # A power that overflows is inf, which is meant: certain detection
+    with np.errstate(over="ignore"):
+        return np.power(size, exponent, dtype=float) / t_max
 
 
 def detection_prob(size, exponent: float, t_max: float):
@@ -280,6 +282,19 @@ class _DetectionTable:
 def _detection_table(exponent: float, t_max: float) -> _DetectionTable:
     """The shared, read-only table of one ``(exponent, t_max)``, built on first use."""
     return _DetectionTable(exponent, t_max)
+
+
+def _draw_sizes(mean_size, dispersion: float, rng: np.random.Generator) -> np.ndarray:
+    """One negative-binomial size per mean, as int64: ``dispersion`` successes
+    at chance ``dispersion / (dispersion + mean)`` (see :func:`nb_log_pmf`)."""
+    r = dispersion
+    try:
+        return rng.negative_binomial(r, r / (r + mean_size)).astype(np.int64, copy=False)
+    except ValueError as exc:
+        # numpy refuses a draw whose Poisson stage could overflow, which a
+        # dispersion far below the mean sizes asks for
+        raise ValueError(f"dispersion {r!r} is too small for numpy's negative-binomial "
+                         f"size draw: {exc}") from None
 
 
 # numpy has no log-gamma ufunc; math.lgamma keeps scipy out of the runtime dependencies

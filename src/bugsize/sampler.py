@@ -37,6 +37,7 @@ from .model import (
     ModelConfig,
     TestCampaign,
     _detection_table,
+    _draw_sizes,
     nb_log_pmf,  # not called here; perfbench's tracer wraps sampler.nb_log_pmf
 )
 
@@ -220,8 +221,7 @@ def update_sizes(
     state in place; returns the acceptance fraction among included
     candidates (1.0 if none are included).
     """
-    r = config.dispersion
-    proposal = rng.negative_binomial(r, r / (r + state.mean_size)).astype(np.int64, copy=False)
+    proposal = _draw_sizes(state.mean_size, config.dispersion, rng)
     u = rng.random(state.max_bugs)
     # log(u) < 0 for every u in [0, 1), so a candidate with a flat likelihood
     # takes its proposal for certain: only included candidates are scored
@@ -233,9 +233,12 @@ def update_sizes(
         cur, new = state.size[scored], proposal[scored]
         # -rate[new] - (-rate[cur]) equals rate[cur] - rate[new] exactly, so an
         # undetected candidate's ratio is one subtraction; the n detected ones,
-        # always included, come first and take the log(alpha) ratio
-        log_ratio = kernel.rate_at(cur) - kernel.rate_at(new)
-        with np.errstate(divide="ignore"):
+        # always included, come first and take the log(alpha) ratio.  A rate
+        # is inf where detection is certain, and inf - inf is nan, but only in
+        # the detected prefix that the next line overwrites: the inclusion
+        # update has just excluded every candidate that cannot escape
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = kernel.rate_at(cur) - kernel.rate_at(new)
             log_ratio[:n] = kernel.log_alpha_at(new[:n]) - kernel.log_alpha_at(cur[:n])
             accept = np.log(u[scored]) < log_ratio
         proposal[scored] = np.where(accept, new, cur)
@@ -313,8 +316,7 @@ def _initial_state(
         mean_size = np.full(m, float(sampler_config.fixed_mean_size))
     else:
         mean_size = rng.gamma(model_config.mean_size_shape, 1.0 / model_config.mean_size_rate, m)
-    r = model_config.dispersion
-    size = rng.negative_binomial(r, r / (r + mean_size)).astype(np.int64)
+    size = _draw_sizes(mean_size, model_config.dispersion, rng)
     # a detected bug of size 0 would be undetectable; start those at size 1
     size[:n] = np.maximum(size[:n], 1)
     psi = float(rng.random())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, TestCampaign, cell_probabilities, detection_prob
+from .model import ModelConfig, TestCampaign, _draw_sizes, cell_probabilities, detection_prob
 
 __all__ = ["GroundTruth", "generate_campaign"]
 
@@ -90,9 +90,8 @@ def generate_campaign(
 
     a = model_config.mean_size_shape
     b = model_config.mean_size_rate
-    r = model_config.dispersion
     mean_size = rng.gamma(a, 1.0 / b, size=true_bugs)
-    size = rng.negative_binomial(r, r / (r + mean_size)).astype(np.int64) if true_bugs else np.zeros(0, dtype=np.int64)
+    size = _draw_sizes(mean_size, model_config.dispersion, rng)
 
     cell = np.full(true_bugs, -1, dtype=np.int64)
     if true_bugs:

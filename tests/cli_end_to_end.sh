@@ -9,7 +9,9 @@
 # default burn-in is half of --iters, at most 200 sweeps; diagnose prints
 # report.json's R-hat, upper bound and ESS for every parameter; reliability
 # reads the fit; reliability and diagnose import neither numpy.ma nor
-# concurrent.futures; a pooled fit writes the serial fit's draws and report
+# concurrent.futures; a fit at --nu 1000 (certain detection) writes no numpy
+# RuntimeWarning; a --dispersion numpy cannot draw sizes from exits 1 with an
+# error that names it; a pooled fit writes the serial fit's draws and report
 # byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
@@ -64,6 +66,20 @@ for command in "reliability --epsilon 100" diagnose; do
     exit 1
   fi
 done
+
+# an infinite detection rate means certain detection, not a numpy warning
+"${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --max-bugs 80 --nu 1000 --threads 1 \
+  --out "$out/nu" 2> "$out/nu.txt" > /dev/null
+if grep RuntimeWarning "$out/nu.txt"; then
+  echo "fit --nu 1000 wrote the warning(s) above" >&2
+  exit 1
+fi
+# numpy cannot draw negative-binomial sizes at this dispersion; the error says which value
+code=0
+"${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --max-bugs 80 --dispersion 1e-40 \
+  --out "$out/dispersion" 2> "$out/dispersion.txt" > /dev/null || code=$?
+test "$code" -eq 1
+grep -q '^bugsize: error: dispersion 1e-40 ' "$out/dispersion.txt"
 
 # 3 chains on 2 workers hand each chain between workers; 4 on 2 run whole chains
 for chains in 3 4; do

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -262,6 +263,33 @@ def test_fit_rejects_non_finite_model_values(tmp_path, capsys, flag, value):
     assert not (out / "draws.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_dispersion_numpy_cannot_draw_from_is_named(tmp_path, capsys, command):
+    # at dispersion 1e-40 numpy's negative binomial refuses to draw any size
+    argv = {"fit": ["fit", str(small_campaign_file(tmp_path)), "--iters", "20"],
+            "simulate": ["simulate"]}[command]
+    assert main([*argv, "--dispersion", "1e-40", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bugsize: error: dispersion 1e-40 is too small for numpy's "
+                          "negative-binomial size draw: ")
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_certain_detection_prints_no_runtime_warning(tmp_path, command):
+    # at nu = 1000 every size from 3 up has an infinite detection rate, which
+    # means certain detection: numpy's overflow and nan warnings are not news
+    argv = {"fit": ["fit", str(small_campaign_file(tmp_path)), "--iters", "20",
+                    "--threads", "1"],
+            "simulate": ["simulate"]}[command]
+    src = str(Path(bugsize.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "bugsize", *argv, "--nu", "1000", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
 def test_fit_strict_convergence_warning(tmp_path, capsys):
     campaign_path = small_campaign_file(tmp_path)
     # an impossible threshold guarantees the warning path
@@ -461,6 +489,24 @@ def test_usage_error_exits_one(capsys):
     assert main(["fit"]) == 1          # missing positional
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_entry_freezes_the_import_before_the_command(tmp_path, monkeypatch):
+    # a command's process exits once the command returns; frozen, the objects
+    # its imports made are not collected again at exit.  main() leaves the
+    # collector as it found it, for callers that run commands in-process
+    before = gc.get_freeze_count()
+    assert main(["simulate", "--missions", "2", "--phases", "2", "--true-bugs", "3",
+                 "--max-bugs", "5", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+    frozen_at_main = []
+    monkeypatch.setattr(cli, "main", lambda: frozen_at_main.append(gc.get_freeze_count()))
+    try:
+        with pytest.raises(SystemExit):
+            cli.entry()
+    finally:
+        gc.unfreeze()
+    assert frozen_at_main[0] > before
 
 
 # ---------------------------------------------------------- import hygiene
