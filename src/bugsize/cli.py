@@ -75,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--thin", type=int, default=1)
     fit.add_argument("--threads", type=int, default=None,
                      help="max worker processes, which share the chains in sweep "
-                          "segments (default: one per chain, up to the usable CPUs; 1 "
-                          "runs the chains serially)")
+                          "segments (default: one per chain; never more than the usable "
+                          "CPUs; 1 runs the chains serially)")
     fit.add_argument("--rhat-warn", type=float, default=1.1)
     fit.add_argument("--strict", action="store_true",
                      help="treat a convergence warning as a soft failure (exit 2)")
@@ -139,16 +139,14 @@ def cmd_simulate(args) -> int:
 
 def _fit_workers(threads: int | None, chains: int) -> int:
     """Worker processes for ``fit``: ``--threads`` if given, else one per chain,
-    up to the CPUs this process may run on."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {threads}")
-        return threads
+    at most the CPUs this process may run on."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(chains, cpus)
+    return min(threads or chains, cpus)
 
 
 def cmd_fit(args) -> int:

@@ -424,29 +424,6 @@ def run_chain(
     return table, _finish_chain(sampler_config, run)
 
 
-@contextmanager
-def _naming_chain(chain_index: int):
-    """Let an input error through unchanged; re-raise any other naming the chain."""
-    try:
-        yield
-    except ValueError:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"chain {chain_index} failed: {exc}") from exc
-
-
-def _run_chain_job(
-    campaign: TestCampaign,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    chain_index: int,
-    seed_seq: np.random.SeedSequence,
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Run one chain from its seed, serially."""
-    with _naming_chain(chain_index):
-        return run_chain(campaign, model_config, sampler_config, np.random.default_rng(seed_seq))
-
-
 def _run_segment(
     campaign: TestCampaign,
     model_config: ModelConfig,
@@ -454,80 +431,48 @@ def _run_segment(
     chain_index: int,
     run: _Run | np.random.SeedSequence,
     stop: int,
-) -> tuple[np.ndarray, _Run]:
-    """Advance one chain up to sweep ``stop`` in a worker; start it first if ``run`` is its seed."""
-    with _naming_chain(chain_index):
-        if isinstance(run, np.random.SeedSequence):
-            run = _start_chain(campaign, model_config, sampler_config, np.random.default_rng(run))
-        return _advance_chain(campaign, model_config, sampler_config, run, stop)
+) -> tuple[np.ndarray, _Run | dict[str, float]] | Exception:
+    """Run one chain up to sweep ``stop``, from its seed or from the run its last segment left.
 
-
-def _run_pooled(
-    campaign: TestCampaign,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    seqs: list[np.random.SeedSequence],
-    workers: int,
-) -> tuple[list[np.ndarray], list[dict[str, float]]]:
-    """Run C chains on W = ``workers`` processes, each as P = W / gcd(C, W) sweep segments.
-
-    Segment ``k`` of a chain runs sweeps up to ``(k + 1) * iterations // P``,
-    from the state, generator and acceptance sums the chain's previous
-    segment handed back, so a chain's next segment is ready once the one
-    before returns.  A free worker takes the ready chain with the most
-    segments left, the lowest-numbered on ties; at most W run at a time.
-    With equal segments that is Hu's (1961) highest-level-first rule for
-    unit tasks in chains: C >= W chains of S sweeps fill C * P / W whole
-    rounds and finish in C * S / W, however ``wait`` batches the segments
-    that end together, where one worker per whole chain takes
-    ceil(C / W) * S.  First-come order can leave a chain's last segment a
-    round of its own (4 chains on 3 workers in 5 rounds, not 4).
-
-    A failing chain raises the error the serial path would: chains numbered
-    below it run to their end, since one of them may fail too, then the
-    lowest failed chain's error is raised.  No segment of a chain numbered
-    above it starts once the failure is seen.
+    Returns the kept table with the run after it, or with the chain's
+    acceptance rates once it has run every sweep (a whole chain is one
+    ``run_chain`` call, the span perfbench's trace times sweeps by).  An
+    error is returned, not raised, so that ``run_all`` can pick which to
+    raise: a ``ValueError`` (bad input) as it is, any other as a
+    ``RuntimeError`` naming the chain.
     """
+    try:
+        last = stop == sampler_config.iterations
+        if isinstance(run, np.random.SeedSequence):
+            rng = np.random.default_rng(run)
+            if last:
+                return run_chain(campaign, model_config, sampler_config, rng)
+            run = _start_chain(campaign, model_config, sampler_config, rng)
+        table, run = _advance_chain(campaign, model_config, sampler_config, run, stop)
+        return table, _finish_chain(sampler_config, run) if last else run
+    except ValueError as exc:
+        return exc
+    except Exception as exc:
+        named = RuntimeError(f"chain {chain_index} failed: {exc}")
+        named.__cause__ = exc
+        return named
+
+
+@contextmanager
+def _round_map(workers: int):
+    """The ``map`` that runs a round of segments: the builtin for one worker, else a pool's."""
+    if workers == 1:
+        yield map
+        return
     # imported here: a serial command need not load the pool or its logging
     import concurrent.futures
 
-    segment = partial(_run_segment, campaign, model_config, sampler_config)
-    pieces = workers // math.gcd(len(seqs), workers)
-    stops = [(k + 1) * sampler_config.iterations // pieces for k in range(pieces)]
-    runs: list = list(seqs)  # a chain's seed until its first segment returns
-    parts: list[list[np.ndarray]] = [[] for _ in seqs]
-    ready = set(range(len(seqs)))
-    running: dict[concurrent.futures.Future, int] = {}
-    failed: dict[int, Exception] = {}
     # The platform's default start method is kept on purpose (fork on Linux;
     # the CLI has no Python threads when it forks).  A spawn pool re-imports
     # numpy and bugsize in every worker, and was slower than the serial path
     # on a 2,000-iteration fit of the bundled campaign.
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        while True:
-            while ready and len(running) < workers:
-                c = min(ready, key=lambda c: (len(parts[c]), c))
-                ready.remove(c)
-                if not failed or c < min(failed):
-                    running[pool.submit(segment, c, runs[c], stops[len(parts[c])])] = c
-            if not running:
-                break
-            done, _ = concurrent.futures.wait(
-                running, return_when=concurrent.futures.FIRST_COMPLETED)
-            for future in done:
-                c = running.pop(future)
-                try:
-                    table, runs[c] = future.result()
-                except Exception as exc:
-                    failed[c] = exc
-                    continue
-                parts[c].append(table)
-                if len(parts[c]) < pieces:
-                    ready.add(c)
-    if failed:
-        raise failed[min(failed)]
-    return ([np.concatenate(p, axis=1) for p in parts],
-            [_finish_chain(sampler_config, run) for run in runs])
+        yield pool.map
 
 
 def run_all(
@@ -539,27 +484,48 @@ def run_all(
 
     Per-chain generators are spawned from the base seed, so reruns with the
     same seed are bit-identical while chains stay statistically independent.
-    With ``workers > 1`` and more than one chain, ``W = min(workers,
-    chains)`` worker processes share the chains: each chain runs as ``W /
-    gcd(chains, W)`` consecutive sweep segments (whole when W divides the
-    chain count), its state, generator and acceptance sums passing from one
-    to the next, so 3 chains on 2 workers take 1.5 chain-times rather than
-    2 (see ``_run_pooled``).  A chain's draws are the same bytes either way.
-    A failing chain raises the same error as it would serially: a
-    ``ValueError`` unchanged, anything else as a ``RuntimeError`` naming the
-    first failed chain in chain order.
+    ``W = min(workers, chains)`` workers share the chains: each chain runs
+    as ``P = W / gcd(chains, W)`` consecutive sweep segments (whole when W
+    divides the chain count), its state, generator and acceptance sums
+    passing from one to the next.  Segment ``k`` of chain ``c`` is task
+    ``k * chains + c``, and the tasks run in rounds of W consecutive ones,
+    each round one ``map`` over a process pool (the builtin ``map``, in this
+    process, when W is 1).  As W <= chains, a round holds a chain at most
+    once and after the round of its previous segment; the chains * P / W
+    rounds take one segment's time each, so 3 chains on 2 workers take 1.5
+    chain-times rather than 2.  A chain's draws are the same bytes for any W.
+
+    A failing chain raises the error a serial run would: a ``ValueError``
+    unchanged, anything else as a ``RuntimeError`` naming the chain.  Once
+    one fails, only lower-numbered chains, which may fail too, take further
+    segments; the lowest failed chain's error is raised.
     """
     n = sampler_config.chains
-    seqs = np.random.SeedSequence(sampler_config.seed).spawn(n)
     workers = min(sampler_config.workers, n)
-    if workers > 1:
-        tables, acceptance = _run_pooled(campaign, model_config, sampler_config, seqs, workers)
-    else:
-        job = partial(_run_chain_job, campaign, model_config, sampler_config)
-        tables, acceptance = zip(*map(job, range(n), seqs))
+    pieces = workers // math.gcd(n, workers)
+    stops = [(k + 1) * sampler_config.iterations // pieces for k in range(pieces)]
+    segment = partial(_run_segment, campaign, model_config, sampler_config)
+    # a chain's seed until its first segment returns, its acceptance rates after its last
+    runs: list = np.random.SeedSequence(sampler_config.seed).spawn(n)
+    parts: list[list[np.ndarray]] = [[] for _ in range(n)]
+    failed: dict[int, Exception] = {}
+    with _round_map(workers) as run_round:
+        for first in range(0, n * pieces, workers):
+            lowest = min(failed, default=n)
+            chains = [t % n for t in range(first, first + workers) if t % n < lowest]
+            results = run_round(segment, chains, [runs[c] for c in chains],
+                                [stops[len(parts[c])] for c in chains])
+            for c, result in zip(chains, results):
+                if isinstance(result, Exception):
+                    failed[c] = result
+                else:
+                    table, runs[c] = result
+                    parts[c].append(table)
+    if failed:
+        raise failed[min(failed)]
     return ChainSet(
         names=_draw_names(sampler_config.track),
-        draws=np.stack(tables), acceptance=list(acceptance),
+        draws=np.stack([np.concatenate(p, axis=1) for p in parts]), acceptance=runs,
         base_seed=sampler_config.seed, iterations=sampler_config.iterations,
         burn_in=sampler_config.effective_burn_in, thin=sampler_config.thin,
     )

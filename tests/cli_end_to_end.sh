@@ -8,11 +8,11 @@
 # Checks: a default fit records the three posterior quantities only; the
 # default burn-in is half of --iters, at most 200 sweeps; diagnose prints
 # report.json's R-hat, upper bound and ESS for every parameter; reliability
-# reads the fit; reliability and diagnose import neither numpy.ma nor
-# concurrent.futures; a fit at --nu 1000 (certain detection) writes no numpy
-# RuntimeWarning; a --dispersion numpy cannot draw sizes from exits 1 with an
-# error that names it; a pooled fit writes the serial fit's draws and report
-# byte for byte.  Exits non-zero at the first failure.
+# reads the fit; reliability, diagnose and fit --threads 1 import neither
+# numpy.ma nor concurrent.futures; a fit at --nu 1000 (certain detection)
+# writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
+# exits 1 with an error that names it; a pooled fit writes the serial fit's
+# draws and report byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -54,11 +54,14 @@ for name, p in params.items():
 EOF
 "${bugsize[@]}" reliability "$out/draws.csv" --epsilon 50,100,200 --out "$out"
 
-# reading a fit loads neither numpy.ma nor the process pool; names are matched
-# whole, since numpy.matrixlib begins with the text "numpy.ma"
-for command in "reliability --epsilon 100" diagnose; do
+# reading a fit, or fitting serially, loads neither numpy.ma nor the process
+# pool; names are matched whole, since numpy.matrixlib begins with the text
+# "numpy.ma".  Each command's second word names its input file under $out
+for command in "reliability draws.csv --epsilon 100" "diagnose draws.csv" \
+    "fit campaign.csv --iters 20 --max-bugs 80 --threads 1"; do
   read -ra argv <<< "$command"
-  PYTHONPROFILEIMPORTTIME=1 "${bugsize[@]}" "${argv[@]}" "$out/draws.csv" \
+  argv[1]="$out/${argv[1]}"
+  PYTHONPROFILEIMPORTTIME=1 "${bugsize[@]}" "${argv[@]}" \
     --out "$out/imports" 2> "$out/imports.txt" > /dev/null
   grep -Eq '\| +numpy$' "$out/imports.txt"  # the import profile was written
   if grep -E '\| +(numpy\.ma|concurrent\.futures)$' "$out/imports.txt"; then

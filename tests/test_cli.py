@@ -335,8 +335,10 @@ def test_fit_deterministic_files(tmp_path):
 @pytest.mark.parametrize(
     "cpus, extra, workers",
     [(1, (), 1), (64, (), 3), (None, (), 1), (64, ("--threads", "2"), 2),
-     (64, ("--threads", "1"), 1)],
-    ids=["one-cpu", "64-cpus", "no-cpu-count", "threads-2", "threads-1"],
+     (64, ("--threads", "1"), 1), (1, ("--threads", "2"), 1), (4, ("--threads", "5000"), 4),
+     (None, ("--threads", "3"), 1)],
+    ids=["one-cpu", "64-cpus", "no-cpu-count", "threads-2", "threads-1",
+         "threads-2-on-one-cpu", "threads-5000-on-4-cpus", "threads-3-no-cpu-count"],
 )
 def test_fit_default_workers_one_per_chain_up_to_usable_cpus(
     tmp_path, monkeypatch, cpus, extra, workers

@@ -638,6 +638,26 @@ def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path)
     assert started == [0, 1], started
 
 
+@needs_fork
+def test_run_all_pool_names_a_lower_chain_that_fails_in_a_later_segment(monkeypatch):
+    # on 2 workers each of the 3 chains runs as 2 segments: chain 2 fails in
+    # its first, chain 1 only in its last, which runs after chain 2 has failed
+    advance = sampler._advance_chain
+
+    def late_advance(campaign, model_config, sampler_config, run, stop):
+        chain_index = chain_of(run.rng)
+        if chain_index == 2 or (chain_index == 1 and stop == sampler_config.iterations):
+            raise ArithmeticError(f"broke in chain {chain_index} before sweep {stop}")
+        return advance(campaign, model_config, sampler_config, run, stop)
+
+    monkeypatch.setattr(sampler, "_advance_chain", late_advance)
+    for workers in (1, 2):
+        scfg = SamplerConfig(chains=3, iterations=10, workers=workers)
+        with pytest.raises(RuntimeError) as err:
+            run_all(single_cell_campaign(), ModelConfig(max_bugs=6), scfg)
+        assert str(err.value) == "chain 1 failed: broke in chain 1 before sweep 10"
+
+
 # ------------------------------------------------- segmented pool schedule
 
 SCHEDULE_CAMPAIGN = TestCampaign(test_cases=[[6, 3], [4, 2]], bugs_detected=[[2, 0], [1, 1]])
