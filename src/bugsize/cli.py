@@ -67,12 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", parents=[shared],
                          help="fit a campaign and write draws plus a report")
     fit.add_argument("campaign", help="campaign CSV path")
-    fit.add_argument("--chains", type=int, default=3)
-    fit.add_argument("--iters", type=int, default=50_000)
-    fit.add_argument("--burn-in", type=int, default=None,
+    fit.add_argument("--chains", type=int, default=SamplerConfig.chains)
+    fit.add_argument("--iters", type=int, default=SamplerConfig.iterations)
+    fit.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in,
                      help="sweeps each chain discards before keeping draws (default: "
                           f"half of --iters, at most {DEFAULT_BURN_IN_CAP})")
-    fit.add_argument("--thin", type=int, default=1)
+    fit.add_argument("--thin", type=int, default=SamplerConfig.thin)
     fit.add_argument("--threads", type=int, default=None,
                      help="max worker processes, which share the chains in sweep "
                           "segments (default: one per chain; never more than the usable "
@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rel = sub.add_parser("reliability", help="reliability curve from a draws file")
     rel.add_argument("draws", help="draws CSV path")
     rel.add_argument("--epsilon", required=True,
-                     help="comma-separated, strictly increasing thresholds")
+                     help="comma-separated thresholds: finite, non-negative, strictly "
+                          "increasing")
     rel.add_argument("--out", default=None, help="output directory")
     rel.set_defaults(func=cmd_reliability)
 
@@ -204,13 +205,9 @@ def cmd_fit(args) -> int:
 
 
 def _parse_epsilons(raw: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"could not parse thresholds {raw!r}") from None
-    if not values:
-        raise ValueError("need at least one threshold")
-    return values
+    # reliability_curve checks the grid, an empty one included
+    return [dataio._parse_token(float, tok, "--epsilon", f"threshold {tok!r}", "a number")
+            for tok in raw.split(",") if tok.strip()]
 
 
 def cmd_reliability(args) -> int:

@@ -44,8 +44,8 @@ def read_campaign(path) -> TestCampaign:
     Expects a ``mission,phase,test_cases,bugs_detected`` header and one row
     per (mission, phase) cell.  Mission order follows first appearance;
     phases are sorted numerically.  Every mission must cover the same phase
-    set, counts must be non-negative integers, and duplicate cells are
-    rejected.
+    set, counts must be non-negative, and duplicate cells are rejected.
+    Owns the campaign's rules; its numbers follow :func:`_parse_token`'s.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -64,12 +64,8 @@ def read_campaign(path) -> TestCampaign:
         if len(row) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         mission = row[0].strip()
-        try:
-            phase = int(row[1])
-            t = int(row[2])
-            y = int(row[3])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: counts must be integers") from None
+        where = f"{path}:{lineno}"
+        phase, t, y = [_parse_token(int, text, where, "counts", "integers") for text in row[1:]]
         if t < 0 or y < 0:
             raise ValueError(f"{path}:{lineno}: negative count for ({mission}, {phase})")
         key = (mission, phase)
@@ -138,8 +134,7 @@ def read_draws(path) -> ChainSet:
     then parameter (chain 0's blocks name the parameters), then the kept
     iterations ``range(burn_in, iterations, thin)`` of the meta line.  A
     chain's ``seed=`` token is skipped: the seed key follows from the base
-    seed and the chain id.  Every number must read as the writer writes it:
-    finite, with no ``_`` digit grouping.
+    seed and the chain id.  Every number follows :func:`_parse_token`'s rule.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     stamp = lines[0].strip() if lines else "<empty>"
@@ -153,7 +148,8 @@ def read_draws(path) -> ChainSet:
         if line.startswith("# meta "):
             for token in line[len("# meta ") :].split():
                 key, _, value = token.partition("=")
-                meta[key] = _parse_token(int, value, where, f"meta field {token!r}", "an integer")
+                meta[key] = _parse_token(int, value, where, f"meta field {token!r}",
+                                         "an integer", int64=key != "base_seed")
         elif line.startswith("# chain "):
             tokens = line[len("# chain ") :].split()
             if not tokens:
@@ -181,6 +177,8 @@ def read_draws(path) -> ChainSet:
         raise ValueError(f"{path}: no '# meta' line gives {', '.join(missing)}")
     if meta["thin"] < 1:
         raise ValueError(f"{path}: meta thin must be >= 1, got {meta['thin']}")
+    if meta["burn_in"] < 0:
+        raise ValueError(f"{path}: meta burn_in must be >= 0, got {meta['burn_in']}")
     kept = range(meta["burn_in"], meta["iterations"], meta["thin"])
     if not kept:
         raise ValueError(f"{path}: the meta line keeps no iterations: {kept!r}")
@@ -200,12 +198,18 @@ def read_draws(path) -> ChainSet:
         names.append(row[len(head) :].partition(",")[0])
     if acceptance and not names:
         _unexpected(path, lines, start, f"a row starting {head!r}")
-    draws = np.empty((len(acceptance), len(names), len(kept)))
+    # the rows, not the meta line, bound the buffer: a block either fits in
+    # the rows left or fails on a missing row, since the heads below run at
+    # most one row past the file's end (naming it)
+    flat = np.empty(min(len(acceptance) * len(names) * len(kept), len(lines) - start))
     for c in range(len(acceptance)):
-        its = [f"{c},{it}," for it in kept]
-        for p, name in enumerate(names):
-            at = start + (c * len(names) + p) * len(kept)
-            draws[c, p] = _block_values(path, lines, at, [f"{h}{name}," for h in its])
+        at = start + c * len(names) * len(kept)
+        its = [f"{c},{it}," for it in kept[: len(lines) + 1 - at]]
+        for name in names:
+            flat[at - start : at - start + len(kept)] = _block_values(
+                path, lines, at, [f"{h}{name}," for h in its])
+            at += len(kept)
+    draws = flat.reshape(len(acceptance), len(names), len(kept))
     if len(lines) > start + draws.size:
         _unexpected(path, lines, start + draws.size, "the end of the draws")
     try:
@@ -241,13 +245,16 @@ def _unexpected(path, lines: list[str], i: int, expected: str):
     raise ValueError(f"{path}:{i + 1}: expected {expected}, got {got}")
 
 
-def _parse_token(kind, text: str, where: str, what: str, expected: str):
-    """``kind(text)`` for a token as the writer writes it: finite, no ``_`` digit grouping."""
+def _parse_token(kind, text: str, where: str, what: str, expected: str, *, int64=True):
+    """``kind(text)`` by the rule every number read from text follows (campaign, draws
+    file, ``--epsilon``): no ``_`` digit grouping, a ``float`` finite, an ``int`` within
+    the int64 arrays it fills (``int64=False``: the base seed, numpy takes any size)."""
     try:
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or "_" in text or not math.isfinite(value):
+    if (value is None or "_" in text or (kind is float and not math.isfinite(value))
+            or (kind is int and int64 and not -(2**63) <= value < 2**63)):
         raise ValueError(f"{where}: {what} must be {expected}")
     return value
 

@@ -72,7 +72,8 @@ class TestCampaign:
         y.flags.writeable = False
         object.__setattr__(self, "test_cases", t)
         object.__setattr__(self, "bugs_detected", y)
-        object.__setattr__(self, "detected_total", int(y.sum()))
+        # summed in Python integers, where an int64 sum of large counts wraps
+        object.__setattr__(self, "detected_total", sum(y.ravel().tolist()))
         object.__setattr__(self, "t_max", int(t.max()))
 
     def __eq__(self, other):
@@ -120,10 +121,13 @@ class ModelConfig:
         if self.max_bugs < 1:
             raise ValueError("max_bugs must be a positive integer")
         for name in ("size_exponent", "mean_size_shape", "mean_size_rate", "dispersion"):
-            value = getattr(self, name)
-            # NaN fails both comparisons, so it is rejected along with inf and <= 0
-            if not 0.0 < value < float("inf"):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            _check_finite_positive(name, getattr(self, name))
+
+
+def _check_finite_positive(name: str, value: float) -> None:
+    # NaN fails both comparisons, so it is rejected along with inf and <= 0
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -16,37 +16,18 @@ from .sampler import ChainSet
 __all__ = ["reliability_at", "chain_reliability", "reliability_curve"]
 
 
-def _remaining_draws(chainset: ChainSet) -> np.ndarray:
-    draws = chainset.pooled("remaining_size")
-    if draws.size == 0:
-        raise ValueError("chain set holds no kept draws")
-    return draws
-
-
-def _check_threshold(epsilon: float) -> None:
-    # NaN compares false both ways, so "epsilon < 0" alone would let it through
-    if np.isnan(epsilon):
-        raise ValueError("threshold must be a number, got nan")
-    if epsilon < 0:
-        raise ValueError("threshold must be non-negative")
-
-
 def reliability_at(chainset: ChainSet, epsilon: float) -> float:
     """Posterior probability that the remaining size is below ``epsilon``.
 
     Pooled over chains; the inequality is strict, so ``epsilon = 0`` always
     yields 0.
     """
-    _check_threshold(epsilon)
-    draws = _remaining_draws(chainset)
-    return float(np.count_nonzero(draws < epsilon) / draws.size)
+    return reliability_curve(chainset, [epsilon])[0][1]
 
 
 def chain_reliability(chainset: ChainSet, epsilon: float) -> list[float]:
     """Per-chain reliability estimates at one threshold, for stability checks."""
-    _check_threshold(epsilon)
-    _remaining_draws(chainset)
-    r = chainset.matrix("remaining_size")
+    _, r = _checked(chainset, [epsilon])
     return (np.count_nonzero(r < epsilon, axis=1) / r.shape[1]).tolist()
 
 
@@ -55,11 +36,27 @@ def reliability_curve(chainset: ChainSet, epsilons) -> list[tuple[float, float]]
 
     Returns (threshold, probability) pairs; the probabilities are
     nondecreasing because the underlying event only grows with the
-    threshold.
+    threshold.  Owns this module's threshold rule (see :func:`_checked`).
     """
+    eps, r = _checked(chainset, epsilons)
+    return [(float(e), float(np.count_nonzero(r < e) / r.size)) for e in eps]
+
+
+def _checked(chainset: ChainSet, epsilons) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold grid and the (chains, kept) remaining-size draws, once checked:
+    a non-empty, strictly increasing grid of non-negative numbers, over kept draws."""
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("need at least one threshold")
     if eps.size > 1 and np.any(np.diff(eps) <= 0):
         raise ValueError("thresholds must be strictly increasing")
-    return [(float(e), reliability_at(chainset, float(e))) for e in eps]
+    for e in eps:
+        # NaN compares false both ways, so "e < 0" alone would let it through
+        if np.isnan(e):
+            raise ValueError("threshold must be a number, got nan")
+        if e < 0:
+            raise ValueError("threshold must be non-negative")
+    r = chainset.matrix("remaining_size")
+    if r.size == 0:
+        raise ValueError("chain set holds no kept draws")
+    return eps, r

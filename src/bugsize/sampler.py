@@ -36,6 +36,7 @@ from .model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
+    _check_finite_positive,
     _detection_table,
     _draw_sizes,
     nb_log_pmf,  # not called here; perfbench's tracer wraps sampler.nb_log_pmf
@@ -95,8 +96,8 @@ class SamplerConfig:
             raise ValueError("thin must be >= 1")
         if self.burn_in is not None and not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.fixed_mean_size is not None and self.fixed_mean_size <= 0:
-            raise ValueError("fixed_mean_size must be positive")
+        if self.fixed_mean_size is not None:
+            _check_finite_positive("fixed_mean_size", self.fixed_mean_size)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

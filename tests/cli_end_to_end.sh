@@ -11,7 +11,9 @@
 # reads the fit; reliability, diagnose and fit --threads 1 import neither
 # numpy.ma nor concurrent.futures; a fit at --nu 1000 (certain detection)
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
-# exits 1 with an error that names it; a pooled fit writes the serial fit's
+# exits 1 with an error that names it; a campaign count past int64 and a draws
+# file whose meta line claims 10^12 iterations each exit 1 with one error line
+# naming the file and no traceback; a pooled fit writes the serial fit's
 # draws and report byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
@@ -83,6 +85,25 @@ code=0
   --out "$out/dispersion" 2> "$out/dispersion.txt" > /dev/null || code=$?
 test "$code" -eq 1
 grep -q '^bugsize: error: dispersion 1e-40 ' "$out/dispersion.txt"
+
+# malformed numbers: a test_cases count past int64, and a meta line that claims
+# more iterations than the file has rows (sized from it, the draws need 22 TiB)
+sed 's/^M1,1,[0-9]*,/M1,1,99999999999999999999,/' "$out/campaign.csv" > "$out/huge.csv"
+sed 's/ iterations=200 / iterations=1000000000000 /' "$out/draws.csv" > "$out/claims.csv"
+for command in "fit huge.csv --iters 20 --max-bugs 80" "reliability claims.csv --epsilon 100"; do
+  read -ra argv <<< "$command"
+  argv[1]="$out/${argv[1]}"
+  code=0
+  "${bugsize[@]}" "${argv[@]}" --out "$out/malformed" 2> "$out/malformed.txt" > /dev/null \
+    || code=$?
+  if [ "$code" -ne 1 ] || [ "$(wc -l < "$out/malformed.txt")" -ne 1 ] \
+      || ! grep -qF "bugsize: error: ${argv[1]}:" "$out/malformed.txt" \
+      || grep -q Traceback "$out/malformed.txt"; then
+    echo "${argv[0]} ${argv[1]} exited $code with:" >&2
+    cat "$out/malformed.txt" >&2
+    exit 1
+  fi
+done
 
 # 3 chains on 2 workers hand each chain between workers; 4 on 2 run whole chains
 for chains in 3 4; do

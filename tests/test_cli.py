@@ -14,6 +14,7 @@ from bugsize.cli import main
 from bugsize.dataio import read_campaign, write_campaign
 from bugsize.datasets import flight_software_campaign
 from bugsize.model import TestCampaign
+from bugsize.sampler import SamplerConfig
 
 
 def small_campaign_file(tmp_path, name="campaign.csv"):
@@ -226,6 +227,50 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["campaign-grouped-test-cases", "campaign-huge-detections",
+                                  "epsilon-inf", "epsilon-grouped"])
+def test_malformed_numbers_exit_one_with_one_error_line(tmp_path, capsys, case):
+    campaign = small_campaign_file(tmp_path)
+    lines = campaign.read_text().splitlines()
+    if case.startswith("campaign"):
+        # one cell's test_cases or bugs_detected field, as read_campaign parses them
+        field = {"campaign-grouped-test-cases": (2, "1_0"),
+                 "campaign-huge-detections": (3, "99999999999999999999")}[case]
+        row = lines[1].split(",")
+        row[field[0]] = field[1]
+        lines[1] = ",".join(row)
+        campaign.write_text("\n".join(lines) + "\n")
+        argv, names = ["fit", str(campaign)], f"{campaign}:2: counts must be integers"
+    else:
+        _, fitted = run_fit(tmp_path, campaign)
+        grid = {"epsilon-inf": "10,inf", "epsilon-grouped": "1_0"}[case]
+        token = grid.split(",")[-1]
+        argv = ["reliability", str(fitted / "draws.csv"), "--epsilon", grid]
+        names = f"--epsilon: threshold {token!r} must be a number"
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bugsize: error: {names}\n"
+    assert not out.exists()
+
+
+def test_fit_names_a_detected_count_past_int64(tmp_path, capsys):
+    # an int64 sum of these two cells wraps to -8446744073709551616
+    path = tmp_path / "campaign.csv"
+    path.write_text("mission,phase,test_cases,bugs_detected\n"
+                    "M1,1,5,5000000000000000000\nM1,2,10,5000000000000000000\n")
+    assert main(["fit", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("bugsize: error: candidate ceiling 400 below detected "
+                                       "count 10000000000000000000\n")
+
+
+def test_fit_run_settings_default_to_sampler_config():
+    args = cli._build_parser().parse_args(["fit", "x.csv"])
+    config = SamplerConfig()
+    assert (args.chains, args.iters, args.burn_in, args.thin) == (
+        config.chains, config.iterations, config.burn_in, config.thin)
+
+
 def test_fit_threads_below_one_names_the_flag(tmp_path, capsys):
     code, _ = run_fit(tmp_path, small_campaign_file(tmp_path), extra=("--threads", "0"))
     assert code == 1
@@ -403,6 +448,17 @@ def test_reliability_rejects_nan_threshold(tmp_path, capsys):
                      "--out", str(where)]) == 1
         assert "nan" in capsys.readouterr().err
         assert not (where / "reliability.csv").exists()
+
+
+def test_draws_of_a_seed_past_int64_read_back(tmp_path, capsys):
+    # numpy seeds a fit from any non-negative integer, so no base seed is bounded
+    code, out = run_fit(tmp_path, small_campaign_file(tmp_path), extra=("--seed", str(2**64)))
+    assert code == 0
+    assert f"base_seed={2**64}\n" in (out / "draws.csv").read_text()
+    draws = str(out / "draws.csv")
+    assert main(["reliability", draws, "--epsilon", "10", "--out", str(out)]) == 0
+    assert main(["diagnose", draws, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------------------- diagnose

@@ -95,6 +95,27 @@ def test_read_campaign_errors(tmp_path):
         read_campaign(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("field", [1, 2, 3])
+@pytest.mark.parametrize("value", ["1_0", "99999999999999999999", "-9223372036854775809",
+                                   "nan", "inf", "1.5", ""])
+def test_read_campaign_reads_numbers_by_the_draws_reader_rule(tmp_path, field, value):
+    row = ["M1", "2", "10", "0"]
+    row[field] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(f"mission,phase,test_cases,bugs_detected\nM1,1,5,1\n{','.join(row)}\n")
+    with pytest.raises(ValueError) as err:
+        read_campaign(path)
+    assert str(err.value) == f"{path}:3: counts must be integers"
+
+
+def test_read_campaign_takes_counts_up_to_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("mission,phase,test_cases,bugs_detected\n"
+                    "M1,-9223372036854775808,9223372036854775807,0\n")
+    campaign = read_campaign(path)
+    assert campaign.t_max == 2**63 - 1 and campaign.detected_total == 0
+
+
 # --------------------------------------------------------------- draws CSV
 
 def written_lines(tmp_path, chainset):
@@ -302,9 +323,18 @@ def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
         ("\n0,25,total_bugs,", "\n0,26,total_bugs,",
          ":{edited}: expected a row starting '0,25,total_bugs,', got {edited_row}"),
         ("burn_in=20", "burn_in=40", ": the meta line keeps no iterations: range(40, 40)"),
+        # checked against the rows before any array is sized: not 22 TiB of draws
+        ("iterations=40", "iterations=1000000000000",
+         ":{after_block}: expected a row starting '0,40,inclusion_prob,', got {after_block_row}"),
+        ("iterations=40", "iterations=99999999999999999999",
+         ":{edited}: meta field 'iterations=99999999999999999999' must be an integer"),
+        # 2**64 - 1 kept iterations, more than len() can return
+        ("iterations=40 burn_in=20", "iterations=9223372036854775807 burn_in=-9223372036854775808",
+         ": meta burn_in must be >= 0, got -9223372036854775808"),
     ],
     ids=["no-meta-line", "no-base-seed", "thin-0", "other-burn-in", "off-grid-row",
-         "no-kept-iterations"],
+         "no-kept-iterations", "iterations-past-the-rows", "iterations-past-int64",
+         "negative-burn-in"],
 )
 def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old, new, message):
     _, _, chainset = small_chainset
@@ -318,7 +348,8 @@ def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old
     edited = next(i for i, (a, b) in enumerate(zip(lines, changed)) if a != b)
     assert rejection(path) == f"{path}" + message.format(
         first=first + 1, first_row=repr(lines[first]),
-        edited=edited + 1, edited_row=repr(changed[edited]))
+        edited=edited + 1, edited_row=repr(changed[edited]),
+        after_block=first + 21, after_block_row=repr(lines[first + 20]))
 
 
 @pytest.mark.parametrize(

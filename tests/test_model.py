@@ -42,6 +42,12 @@ def test_campaign_rejects_bad_input(t, y):
         TestCampaign(test_cases=t, bugs_detected=y)
 
 
+def test_campaign_detected_total_does_not_wrap():
+    # two cells whose int64 sum wraps to -8446744073709551616
+    camp = TestCampaign(test_cases=[[5, 10]], bugs_detected=[[5 * 10**18, 5 * 10**18]])
+    assert camp.detected_total == 10**19 and type(camp.detected_total) is int
+
+
 def test_campaign_keeps_read_only_copies():
     t = np.array([[5, 0], [2, 3]], dtype=np.int64)
     y = np.array([[1, 0], [0, 2]], dtype=np.int64)

@@ -70,6 +70,14 @@ def test_sampler_config_defaults_and_validation():
         SamplerConfig(thin=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sampler_config_rejects_a_fixed_mean_size_not_finite_and_positive(value):
+    # the rule ModelConfig's floats follow; nan and inf would fail inside run_all
+    with pytest.raises(ValueError, match=f"^fixed_mean_size must be finite and positive, "
+                                         f"got {value}$"):
+        SamplerConfig(fixed_mean_size=value)
+
+
 # ---------------------------------------------------- inclusion-prob draw
 
 def test_draw_inclusion_prob_all_included():
