@@ -13,6 +13,7 @@ import gc
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,41 +44,53 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _number(kind, name: str, *, int64: bool = True):
+    """An argparse ``type`` that reads a flag by :func:`dataio._parse_token`'s rule; argparse
+    drops the rule's message and writes ``argument --flag: invalid <name> value: '<text>'``."""
+    parse = partial(dataio._parse_token, kind, where="", what="", expected=name, int64=int64)
+    parse.__name__ = name
+    return parse
+
+
+_FLOAT = _number(float, "finite number")
+_INT = _number(int, "64-bit integer")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bugsize", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)  # simulate's and fit's common flags
-    shared.add_argument("--max-bugs", type=int, default=400)
-    shared.add_argument("--nu", type=float, default=ModelConfig.size_exponent,
+    shared.add_argument("--max-bugs", type=_INT, default=400)
+    shared.add_argument("--nu", type=_FLOAT, default=ModelConfig.size_exponent,
                         help="detection-decay exponent")
-    shared.add_argument("--dispersion", type=float, default=ModelConfig.dispersion)
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--dispersion", type=_FLOAT, default=ModelConfig.dispersion)
+    shared.add_argument("--seed", type=_number(int, "integer", int64=False), default=0)
     shared.add_argument("--out", default=None, help="output directory")
 
     sim = sub.add_parser("simulate", parents=[shared],
                          help="generate a synthetic campaign with ground truth")
-    sim.add_argument("--missions", type=int, default=30)
-    sim.add_argument("--phases", type=int, default=8)
-    sim.add_argument("--true-bugs", type=int, default=100)
-    sim.add_argument("--t-min", type=int, default=0)
-    sim.add_argument("--t-max", type=int, default=50)
+    sim.add_argument("--missions", type=_INT, default=30)
+    sim.add_argument("--phases", type=_INT, default=8)
+    sim.add_argument("--true-bugs", type=_INT, default=100)
+    sim.add_argument("--t-min", type=_INT, default=0)
+    sim.add_argument("--t-max", type=_INT, default=50)
     sim.set_defaults(func=cmd_simulate)
 
     fit = sub.add_parser("fit", parents=[shared],
                          help="fit a campaign and write draws plus a report")
     fit.add_argument("campaign", help="campaign CSV path")
-    fit.add_argument("--chains", type=int, default=SamplerConfig.chains)
-    fit.add_argument("--iters", type=int, default=SamplerConfig.iterations)
-    fit.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in,
+    fit.add_argument("--chains", type=_INT, default=SamplerConfig.chains)
+    fit.add_argument("--iters", type=_INT, default=SamplerConfig.iterations)
+    fit.add_argument("--burn-in", type=_INT, default=SamplerConfig.burn_in,
                      help="sweeps each chain discards before keeping draws (default: "
                           f"half of --iters, at most {DEFAULT_BURN_IN_CAP})")
-    fit.add_argument("--thin", type=int, default=SamplerConfig.thin)
-    fit.add_argument("--threads", type=int, default=None,
+    fit.add_argument("--thin", type=_INT, default=SamplerConfig.thin)
+    fit.add_argument("--threads", type=_INT, default=None,
                      help="max worker processes, which share the chains in sweep "
                           "segments (default: one per chain; never more than the usable "
                           "CPUs; 1 runs the chains serially)")
-    fit.add_argument("--rhat-warn", type=float, default=1.1)
+    fit.add_argument("--rhat-warn", type=_FLOAT, default=1.1)
     fit.add_argument("--strict", action="store_true",
                      help="treat a convergence warning as a soft failure (exit 2)")
     fit.set_defaults(func=cmd_fit)
@@ -151,8 +164,6 @@ def _fit_workers(threads: int | None, chains: int) -> int:
 
 
 def cmd_fit(args) -> int:
-    if not math.isfinite(args.rhat_warn):
-        raise ValueError(f"--rhat-warn must be a finite number, got {args.rhat_warn}")
     campaign = dataio.read_campaign(args.campaign)
     model_config = _model_config(args)
     sampler_config = SamplerConfig(
@@ -163,7 +174,10 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         workers=_fit_workers(args.threads, args.chains),
     )
-    _check_campaign(campaign, model_config)
+    try:
+        _check_campaign(campaign, model_config)
+    except ValueError as exc:
+        raise ValueError(f"{args.campaign}: {exc}") from None
     out = _out_dir(args)
     chainset = run_all(campaign, model_config, sampler_config)
     report = diagnostics.summarize(chainset)
@@ -212,7 +226,10 @@ def _parse_epsilons(raw: str) -> list[float]:
 
 def cmd_reliability(args) -> int:
     chainset = dataio.read_draws(args.draws)
-    curve = reliability.reliability_curve(chainset, _parse_epsilons(args.epsilon))
+    try:
+        curve = reliability.reliability_curve(chainset, _parse_epsilons(args.epsilon))
+    except KeyError as exc:  # the file does not record remaining_size
+        raise KeyError(f"{args.draws}: {exc.args[0]}") from None
     out = _out_dir(args)
     dataio.write_reliability_curve(curve, out / "reliability.csv")
     print("epsilon  reliability")
@@ -248,9 +265,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
         # str(KeyError) quotes its message; an OSError's args[0] is its errno
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+        if isinstance(exc, MemoryError) and not message:  # as the interpreter raises it
+            message = "out of memory"
         print(f"bugsize: error: {message}", file=sys.stderr)
         return EXIT_ERROR
 

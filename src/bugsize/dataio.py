@@ -247,8 +247,8 @@ def _unexpected(path, lines: list[str], i: int, expected: str):
 
 def _parse_token(kind, text: str, where: str, what: str, expected: str, *, int64=True):
     """``kind(text)`` by the rule every number read from text follows (campaign, draws
-    file, ``--epsilon``): no ``_`` digit grouping, a ``float`` finite, an ``int`` within
-    the int64 arrays it fills (``int64=False``: the base seed, numpy takes any size)."""
+    file, ``--epsilon``, numeric flags): no ``_`` digit grouping, a ``float`` finite, an
+    ``int`` within int64 (``int64=False``: a seed, numpy takes any size)."""
     try:
         value = kind(text)
     except ValueError:

@@ -76,13 +76,6 @@ class TestCampaign:
         object.__setattr__(self, "detected_total", sum(y.ravel().tolist()))
         object.__setattr__(self, "t_max", int(t.max()))
 
-    def __eq__(self, other):
-        if not isinstance(other, TestCampaign):
-            return NotImplemented
-        return np.array_equal(self.test_cases, other.test_cases) and np.array_equal(
-            self.bugs_detected, other.bugs_detected
-        )
-
     @property
     def missions(self) -> int:
         return int(self.test_cases.shape[0])
@@ -196,8 +189,8 @@ def cell_probabilities(test_cases):
 
 
 def _detection_rate(size, exponent: float, t_max: float) -> np.ndarray:
-    # x = size**exponent / t_max; a real bug escapes the campaign w.p. exp(-x).
-    # A power that overflows is inf, which is meant: certain detection
+    # x = size**exponent / t_max; a power that overflows is inf, which is
+    # meant: certain detection
     with np.errstate(over="ignore"):
         return np.power(size, exponent, dtype=float) / t_max
 
@@ -219,10 +212,15 @@ def detection_prob(size, exponent: float, t_max: float):
     return (-np.expm1(-_detection_rate(s, exponent, t_max)))[()]
 
 
-def _log_detection_prob(x):
-    # log(alpha) = log(1 - exp(-x)); -inf at size 0, so callers ignore divide
-    return np.log(-np.expm1(-x))
-
+# The detection kernel's columns, each a function of the rate x = size**nu / t_max:
+# the rate itself, the chance exp(-x) that a real bug of that size escapes the
+# campaign, and log(alpha) = log(1 - exp(-x)), -inf at size 0 (a bug of size 0 is
+# never detected; callers ignore divide warnings)
+_KERNEL_COLUMNS = {
+    "rate": lambda x: x,
+    "escape": lambda x: np.exp(-x),
+    "log_alpha": lambda x: np.log(-np.expm1(-x)),
+}
 
 # Sizes 0..KERNEL_TABLE_SIZES - 1 read the detection kernel from a table
 # (3 float arrays, 96 KB).  Sizes are integer counts of inputs, and fits at
@@ -232,60 +230,38 @@ def _log_detection_prob(x):
 KERNEL_TABLE_SIZES = 4096
 
 
-class _DetectionTable:
-    """The detection kernel of every size below ``KERNEL_TABLE_SIZES``, for one ``(exponent, t_max)``.
+@functools.lru_cache(maxsize=8)
+def _kernel_table(exponent: float, t_max: float) -> dict[str, np.ndarray]:
+    """Every column of one ``(exponent, t_max)`` at sizes below ``KERNEL_TABLE_SIZES``,
+    read-only and shared, built on first use."""
+    rate = _detection_rate(np.arange(KERNEL_TABLE_SIZES), exponent, t_max)
+    with np.errstate(divide="ignore"):
+        table = {name: column(rate) for name, column in _KERNEL_COLUMNS.items()}
+    for values in table.values():
+        values.flags.writeable = False
+    return table
 
-    ``rate[s] = s**exponent / t_max``, ``escape[s] = exp(-rate[s])`` (the
-    chance that a real bug of size ``s`` escapes the campaign) and
-    ``log_alpha[s] = log(1 - exp(-rate[s]))``, each computed by the same
-    function a direct evaluation uses, so a lookup gives the same bits.  The
-    ``*_at`` methods look sizes up, and compute them directly when any lies
-    outside the table (``IndexError``: a size of ``KERNEL_TABLE_SIZES`` or
-    more, or a non-integer size).
 
-    A candidate's detection log-likelihood is ``log(alpha)`` if it was
+def _detection_kernel(exponent: float, t_max: float, column: str, size) -> np.ndarray:
+    """Column ``column`` of ``_KERNEL_COLUMNS`` at each size, for one ``(exponent, t_max)``.
+
+    Sizes are looked up in the shared table; where any lies outside it
+    (``IndexError``: a size of ``KERNEL_TABLE_SIZES`` or more, or a
+    non-integer size) the same formula computes them, so both give the same
+    bits.
+
+    A candidate's detection log-likelihood is ``log_alpha`` if it was
     detected (``alpha`` is :func:`detection_prob`), ``log(1 - alpha) =
     -rate`` if it is included but was never detected, and 0 if it is
     excluded.  A detected bug's cell term ``cell_probabilities(T)[j, k]``
     does not depend on its size, so it is a constant that cancels from every
     ratio of two sizes: the campaign enters only through ``t_max`` and the
-    detected count ``n``.  ``log_alpha[0]`` is ``-inf``: a bug of size 0 is
-    never detected.
+    detected count ``n``.
     """
-
-    def __init__(self, exponent: float, t_max: float):
-        self.exponent, self.t_max = exponent, t_max
-        self.rate = _detection_rate(np.arange(KERNEL_TABLE_SIZES), exponent, t_max)
-        self.escape = np.exp(-self.rate)
-        with np.errstate(divide="ignore"):
-            self.log_alpha = _log_detection_prob(self.rate)
-        for column in (self.rate, self.escape, self.log_alpha):
-            column.flags.writeable = False
-
-    def rate_at(self, size) -> np.ndarray:
-        try:
-            return self.rate[size]
-        except IndexError:
-            return _detection_rate(size, self.exponent, self.t_max)
-
-    def escape_at(self, size) -> np.ndarray:
-        try:
-            return self.escape[size]
-        except IndexError:
-            return np.exp(-_detection_rate(size, self.exponent, self.t_max))
-
-    def log_alpha_at(self, size) -> np.ndarray:
-        """``log(alpha)`` at each size; the caller ignores divide warnings (size 0 is ``-inf``)."""
-        try:
-            return self.log_alpha[size]
-        except IndexError:
-            return _log_detection_prob(_detection_rate(size, self.exponent, self.t_max))
-
-
-@functools.lru_cache(maxsize=8)
-def _detection_table(exponent: float, t_max: float) -> _DetectionTable:
-    """The shared, read-only table of one ``(exponent, t_max)``, built on first use."""
-    return _DetectionTable(exponent, t_max)
+    try:
+        return _kernel_table(exponent, t_max)[column][size]
+    except IndexError:
+        return _KERNEL_COLUMNS[column](_detection_rate(size, exponent, t_max))
 
 
 def _draw_sizes(mean_size, dispersion: float, rng: np.random.Generator) -> np.ndarray:

@@ -10,17 +10,18 @@ each owning a seeded random generator spawned from the base seed.
 The campaign reaches the sampler as two numbers, the detected count ``n``
 and ``t_max``: candidates ``[:n]`` are the detected ones, always included.
 
-Sizes are integer counts, so the sweep looks the detection kernel up by
-size in a table that ``model`` builds once per ``(nu, t_max)``: the rate
-``x = size**nu / t_max``, the escape chance ``exp(-x)`` and ``log(alpha)``,
-each the bits a direct evaluation gives (a size past the table's end is
-evaluated directly).  It reads them only where they are needed: the
-inclusion update for the undetected candidates, the sizes update for the
-included candidates alone (an excluded candidate's likelihood is flat, so it
-takes its proposal for certain), at their current and proposed sizes, with
-``log(alpha)`` for the detected ones.  Its random calls, their arguments and
-their order are those of evaluating the full detection log-likelihood of
-every candidate at both sizes, so the draws are the same bit for bit.
+Sizes are integer counts, so the sweep reads the detection kernel through
+one lookup, ``model._detection_kernel``, by size in a table built once per
+``(nu, t_max)``: the rate ``x = size**nu / t_max``, the escape chance
+``exp(-x)`` and ``log(alpha)``, each the bits a direct evaluation gives (a
+size past the table's end is evaluated directly).  It reads them only where
+they are needed: the inclusion update for the undetected candidates, the
+sizes update for the included candidates alone (an excluded candidate's
+likelihood is flat, so it takes its proposal for certain), at their current
+and proposed sizes, with ``log(alpha)`` for the detected ones.  Its random
+calls, their arguments and their order are those of evaluating the full
+detection log-likelihood of every candidate at both sizes, so the draws are
+the same bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .model import (
     ModelConfig,
     TestCampaign,
     _check_finite_positive,
-    _detection_table,
+    _detection_kernel,
     _draw_sizes,
     nb_log_pmf,  # not called here; perfbench's tracer wraps sampler.nb_log_pmf
 )
@@ -195,8 +196,7 @@ def update_inclusion(
     psi = state.inclusion_prob
     n = state.n_detected
     if use_likelihood:
-        kernel = _detection_table(config.size_exponent, t_max)
-        weight = psi * kernel.escape_at(state.size[n:])
+        weight = psi * _detection_kernel(config.size_exponent, t_max, "escape", state.size[n:])
         q = weight / (weight + (1.0 - psi))
     else:
         q = psi
@@ -230,7 +230,7 @@ def update_sizes(
     scored = np.flatnonzero(state.include)
     if use_likelihood and scored.size:
         n = state.n_detected
-        kernel = _detection_table(config.size_exponent, t_max)
+        kernel = partial(_detection_kernel, config.size_exponent, t_max)
         cur, new = state.size[scored], proposal[scored]
         # -rate[new] - (-rate[cur]) equals rate[cur] - rate[new] exactly, so an
         # undetected candidate's ratio is one subtraction; the n detected ones,
@@ -239,8 +239,8 @@ def update_sizes(
         # the detected prefix that the next line overwrites: the inclusion
         # update has just excluded every candidate that cannot escape
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = kernel.rate_at(cur) - kernel.rate_at(new)
-            log_ratio[:n] = kernel.log_alpha_at(new[:n]) - kernel.log_alpha_at(cur[:n])
+            log_ratio = kernel("rate", cur) - kernel("rate", new)
+            log_ratio[:n] = kernel("log_alpha", new[:n]) - kernel("log_alpha", cur[:n])
             accept = np.log(u[scored]) < log_ratio
         proposal[scored] = np.where(accept, new, cur)
         state.size = proposal

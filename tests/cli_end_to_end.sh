@@ -13,8 +13,9 @@
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
 # exits 1 with an error that names it; a campaign count past int64 and a draws
 # file whose meta line claims 10^12 iterations each exit 1 with one error line
-# naming the file and no traceback; a pooled fit writes the serial fit's
-# draws and report byte for byte.  Exits non-zero at the first failure.
+# naming the file and no traceback; fit --nu 1_5 and simulate --t-max past
+# int64 each exit 1 with one error line, no traceback and no output directory;
+# a pooled fit writes the serial fit's draws and report byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -101,6 +102,20 @@ for command in "fit huge.csv --iters 20 --max-bugs 80" "reliability claims.csv -
       || grep -q Traceback "$out/malformed.txt"; then
     echo "${argv[0]} ${argv[1]} exited $code with:" >&2
     cat "$out/malformed.txt" >&2
+    exit 1
+  fi
+done
+
+# flag values outside the number rule: "_" grouping, and an integer past int64
+for command in "fit campaign.csv --iters 20 --nu 1_5" "simulate --t-max 99999999999999999999"; do
+  read -ra argv <<< "$command"
+  if [ "${argv[0]}" = fit ]; then argv[1]="$out/${argv[1]}"; fi
+  code=0
+  "${bugsize[@]}" "${argv[@]}" --out "$out/flag" 2> "$out/flag.txt" > /dev/null || code=$?
+  if [ "$code" -ne 1 ] || [ "$(grep -c 'error:' "$out/flag.txt")" -ne 1 ] \
+      || grep -q Traceback "$out/flag.txt" || [ -e "$out/flag" ]; then
+    echo "${argv[*]} exited $code with:" >&2
+    cat "$out/flag.txt" >&2
     exit 1
   fi
 done

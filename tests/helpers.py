@@ -3,7 +3,7 @@
 import numpy as np
 from scipy import signal
 
-from bugsize.model import _detection_rate, _log_detection_prob
+from bugsize.model import _detection_rate
 from bugsize.sampler import ChainSet
 
 
@@ -17,6 +17,12 @@ def make_chainset(arrays_by_param, burn_in=0):
         acceptance=[{"size": 1.0} for _ in range(n_chains)],
         base_seed=0, iterations=burn_in + kept, burn_in=burn_in, thin=1,
     )
+
+
+def same_campaign(a, b):
+    """Whether two campaigns hold the same test-case and detected-bug grids."""
+    return (np.array_equal(a.test_cases, b.test_cases)
+            and np.array_equal(a.bugs_detected, b.bugs_detected))
 
 
 def ar1(rng, n_chains, length, rho):
@@ -38,5 +44,5 @@ def detection_loglik(size, include, detected, exponent, t_max):
     """
     x = _detection_rate(size, exponent, t_max)
     with np.errstate(divide="ignore"):
-        log_alpha = _log_detection_prob(x)
+        log_alpha = np.log(-np.expm1(-x))
     return np.where(detected, log_alpha, np.where(include, -x, 0.0))

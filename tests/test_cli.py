@@ -223,7 +223,10 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     out = tmp_path / "never"
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("bugsize: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("bugsize: error: ")
+    # a data error names the file it read
+    assert case in ("fit-threads-0", "simulate-empty-grid") or argv[1] in err
     assert not out.exists()
 
 
@@ -260,8 +263,8 @@ def test_fit_names_a_detected_count_past_int64(tmp_path, capsys):
     path.write_text("mission,phase,test_cases,bugs_detected\n"
                     "M1,1,5,5000000000000000000\nM1,2,10,5000000000000000000\n")
     assert main(["fit", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == ("bugsize: error: candidate ceiling 400 below detected "
-                                       "count 10000000000000000000\n")
+    assert capsys.readouterr().err == (f"bugsize: error: {path}: candidate ceiling 400 below "
+                                       "detected count 10000000000000000000\n")
 
 
 def test_fit_run_settings_default_to_sampler_config():
@@ -275,6 +278,48 @@ def test_fit_threads_below_one_names_the_flag(tmp_path, capsys):
     code, _ = run_fit(tmp_path, small_campaign_file(tmp_path), extra=("--threads", "0"))
     assert code == 1
     assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+
+
+NUMERIC_FLAGS = {
+    "simulate": ("--max-bugs", "--nu", "--dispersion", "--seed", "--missions", "--phases",
+                 "--true-bugs", "--t-min", "--t-max"),
+    "fit": ("--max-bugs", "--nu", "--dispersion", "--seed", "--chains", "--iters",
+            "--burn-in", "--thin", "--threads", "--rhat-warn"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           NUMERIC_FLAGS.items() for flag in flags])
+def test_numeric_flags_follow_the_number_rule(tmp_path, capsys, command, flag):
+    # the rule of numbers read from files: no "_" grouping, floats finite, and
+    # integers within int64, except the seed, which numpy takes at any size;
+    # 99999999999999999999 is a finite float, so only integer flags refuse it
+    values = ["1_0", "nan", "inf", ""]
+    if flag != "--seed" and flag not in ("--nu", "--dispersion", "--rhat-warn"):
+        values.append("99999999999999999999")
+    # a value wrongly taken starts at most a short fit: the tested flag comes last
+    fit = [str(small_campaign_file(tmp_path)), "--iters", "20", "--threads", "1"]
+    argv = [command, *(fit if command == "fit" else [])]
+    for value in values:
+        out = tmp_path / "never"
+        assert main([*argv, flag, value, "--out", str(out)]) == 1, (flag, value)
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"bugsize {command}: error: argument {flag}: "
+                                               "invalid "), (flag, value, err)
+        assert f"value: '{value}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("message, printed", [("", "out of memory"),
+                                              ("Unable to allocate 58.2 TiB", None)])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, printed):
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.simulate, "generate_campaign", out_of_memory)
+    assert main(["simulate", "--missions", "1000000000000", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"bugsize: error: {printed or message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_checks_out_dir_before_sampling(tmp_path, capsys, monkeypatch):
@@ -303,8 +348,7 @@ def test_fit_rejects_non_finite_model_values(tmp_path, capsys, flag, value):
     campaign_path = small_campaign_file(tmp_path)
     code, out = run_fit(tmp_path, campaign_path, extra=(flag, value))
     assert code == 1
-    name = {"--nu": "size_exponent", "--dispersion": "dispersion"}[flag]
-    assert f"{name} must be finite and positive, got {value}" in capsys.readouterr().err
+    assert f"argument {flag}: invalid finite number value: '{value}'" in capsys.readouterr().err
     assert not (out / "draws.csv").exists()
 
 
@@ -350,7 +394,8 @@ def test_fit_rejects_non_finite_rhat_warn(tmp_path, capsys, value):
     code, out = run_fit(tmp_path, small_campaign_file(tmp_path),
                         extra=(f"--rhat-warn={value}", "--strict"))
     assert code == 1
-    assert f"--rhat-warn must be a finite number, got {value}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --rhat-warn: invalid finite number value: '{value}'" in err
     assert not (out / "draws.csv").exists()
 
 

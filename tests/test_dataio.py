@@ -17,7 +17,7 @@ from bugsize.cli import main
 from bugsize.diagnostics import summarize, trace_export
 from bugsize.model import ModelConfig, TestCampaign
 from bugsize.sampler import SamplerConfig, run_all
-from helpers import make_chainset
+from helpers import make_chainset, same_campaign
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def test_campaign_round_trip(tmp_path):
         )
         path = tmp_path / "roundtrip.csv"
         write_campaign(campaign, path)
-        assert read_campaign(path) == campaign
+        assert same_campaign(read_campaign(path), campaign)
 
 
 def test_read_campaign_errors(tmp_path):

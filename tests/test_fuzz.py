@@ -4,7 +4,8 @@ Mutants of one valid input each go through ``cli.main`` in-process, so no
 process starts: ``fit`` reads the campaign mutants, ``reliability`` and
 ``diagnose`` the draws mutants, and ``reliability`` the ``--epsilon``
 mutants.  Every call must return 0 or 1 without raising, and a 1 must leave
-``bugsize: error:`` as the last line on stderr.
+``bugsize: error:`` as the last line on stderr, naming the mutated file for
+a campaign or draws mutant.
 
 Each input gets every bad value in every field of its leading lines (a
 campaign's header and first row; a draws file's meta line, first chain line,
@@ -77,14 +78,16 @@ def mutants(text: str, lead: list[int], rng: np.random.Generator):
         yield "\n".join(edited) + "\n"
 
 
-def check(capsys, argv):
-    """Run one command in-process; it must exit 0 or 1, a 1 with one error as its last line."""
+def check(capsys, argv, path=None):
+    """Run one command in-process; it must exit 0 or 1, a 1 with one error as its last
+    line, which names ``path`` if one is given."""
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code in (0, 1), (argv, code, err)
     if code == 1:
         assert err and err[-1].startswith("bugsize: error: "), (argv, err)
+        assert path is None or str(path) in err[-1], (argv, err)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +104,7 @@ def test_fuzz_campaign_reader(tmp_path, capsys):
     path = tmp_path / "campaign.csv"
     for n, text in enumerate(mutants(CAMPAIGN, [0, 1], rng)):
         path.write_text(text)
-        check(capsys, ["fit", str(path), *FIT, "--out", str(tmp_path / f"out{n}")])
+        check(capsys, ["fit", str(path), *FIT, "--out", str(tmp_path / f"out{n}")], path)
 
 
 def test_fuzz_draws_reader(tmp_path, capsys, fitted_draws):
@@ -112,8 +115,9 @@ def test_fuzz_draws_reader(tmp_path, capsys, fitted_draws):
     path = tmp_path / "draws.csv"
     for text in mutants(fitted_draws, lead, rng):
         path.write_text(text)
-        check(capsys, ["reliability", str(path), "--epsilon", "10,50", "--out", str(tmp_path)])
-        check(capsys, ["diagnose", str(path), "--out", str(tmp_path)])
+        check(capsys, ["reliability", str(path), "--epsilon", "10,50", "--out", str(tmp_path)],
+              path)
+        check(capsys, ["diagnose", str(path), "--out", str(tmp_path)], path)
 
 
 def test_fuzz_epsilon_parser(tmp_path, capsys, fitted_draws):

@@ -9,14 +9,14 @@ from bugsize.model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
+    _detection_kernel,
     _detection_rate,
-    _detection_table,
-    _log_detection_prob,
+    _kernel_table,
     cell_probabilities,
     detection_prob,
     nb_log_pmf,
 )
-from helpers import detection_loglik
+from helpers import detection_loglik, same_campaign
 
 
 # ---------------------------------------------------------------- campaign
@@ -60,7 +60,8 @@ def test_campaign_keeps_read_only_copies():
     y[1, 1] = 40
     assert camp.test_cases[0, 0] == 5 and camp.bugs_detected[1, 1] == 2
     assert camp.t_max == 5 and camp.detected_total == 3
-    assert camp == TestCampaign(test_cases=[[5, 0], [2, 3]], bugs_detected=[[1, 0], [0, 2]])
+    assert same_campaign(camp, TestCampaign(test_cases=[[5, 0], [2, 3]],
+                                            bugs_detected=[[1, 0], [0, 2]]))
 
 
 def test_model_config_validation():
@@ -175,22 +176,27 @@ def test_detection_prob_errors():
 def test_detection_table_is_the_direct_kernel_bit_for_bit(exponent, t_max):
     # every entry equals the direct evaluation, here of the sizes in shuffled
     # order, so that no entry is compared with itself
-    table = _detection_table(exponent, t_max)
+    table = _kernel_table(exponent, t_max)
     sizes = np.random.default_rng(3).permutation(KERNEL_TABLE_SIZES)
-    rate = _detection_rate(sizes, exponent, t_max)
-    with np.errstate(divide="ignore"):
-        log_alpha = _log_detection_prob(rate)
-    for column, direct in ((table.rate, rate), (table.escape, np.exp(-rate)),
-                           (table.log_alpha, log_alpha)):
+
+    def direct(size):
+        rate = _detection_rate(size, exponent, t_max)
+        with np.errstate(divide="ignore"):
+            return {"rate": rate, "escape": np.exp(-rate), "log_alpha": np.log(-np.expm1(-rate))}
+
+    assert set(table) == {"rate", "escape", "log_alpha"}
+    for name, values in direct(sizes).items():
+        column = table[name]
         assert column.shape == (KERNEL_TABLE_SIZES,) and not column.flags.writeable
-        assert column[sizes].tobytes() == direct.tobytes()
-    assert _detection_table(exponent, t_max) is table
+        assert column[sizes].tobytes() == values.tobytes()
+        with np.errstate(divide="ignore"):
+            looked_up = _detection_kernel(exponent, t_max, name, sizes)
+        assert looked_up.tobytes() == values.tobytes()
+    assert _kernel_table(exponent, t_max) is table
     # a size past the table's end, or not an integer, is computed directly
     for outside in (np.array([5, KERNEL_TABLE_SIZES]), np.array([5.0, 7.5])):
-        rate = _detection_rate(outside, exponent, t_max)
-        assert table.rate_at(outside).tobytes() == rate.tobytes()
-        assert table.escape_at(outside).tobytes() == np.exp(-rate).tobytes()
-        assert table.log_alpha_at(outside).tobytes() == _log_detection_prob(rate).tobytes()
+        for name, values in direct(outside).items():
+            assert _detection_kernel(exponent, t_max, name, outside).tobytes() == values.tobytes()
 
 
 def test_detection_loglik_cases():
