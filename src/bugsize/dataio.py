@@ -61,16 +61,16 @@ def read_campaign(path) -> TestCampaign:
     cells: dict[tuple[str, int], tuple[int, int]] = {}
     missions: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        mission = row[0].strip()
         where = f"{path}:{lineno}"
+        if len(row) != 4:
+            raise ValueError(f"{where}: expected 4 fields, got {len(row)}")
+        mission = row[0].strip()
         phase, t, y = [_parse_token(int, text, where, "counts", "integers") for text in row[1:]]
         if t < 0 or y < 0:
-            raise ValueError(f"{path}:{lineno}: negative count for ({mission}, {phase})")
+            raise ValueError(f"{where}: negative count for ({mission}, {phase})")
         key = (mission, phase)
         if key in cells:
-            raise ValueError(f"{path}: duplicate cell ({mission}, {phase})")
+            raise ValueError(f"{where}: duplicate cell ({mission}, {phase})")
         if mission not in missions:
             missions.append(mission)
         cells[key] = (t, y)
@@ -146,6 +146,7 @@ def read_draws(path) -> ChainSet:
     for idx, line in enumerate(lines[1:], start=1):
         where = f"{path}:{idx + 1}"
         if line.startswith("# meta "):
+            meta_at = where
             for token in line[len("# meta ") :].split():
                 key, _, value = token.partition("=")
                 meta[key] = _parse_token(int, value, where, f"meta field {token!r}",
@@ -175,15 +176,16 @@ def read_draws(path) -> ChainSet:
     missing = [key for key in META_FIELDS if key not in meta]
     if missing:
         raise ValueError(f"{path}: no '# meta' line gives {', '.join(missing)}")
+    # the checks below name the last meta line read
     if meta["thin"] < 1:
-        raise ValueError(f"{path}: meta thin must be >= 1, got {meta['thin']}")
+        raise ValueError(f"{meta_at}: meta thin must be >= 1, got {meta['thin']}")
     if meta["burn_in"] < 0:
-        raise ValueError(f"{path}: meta burn_in must be >= 0, got {meta['burn_in']}")
+        raise ValueError(f"{meta_at}: meta burn_in must be >= 0, got {meta['burn_in']}")
     kept = range(meta["burn_in"], meta["iterations"], meta["thin"])
     if not kept:
-        raise ValueError(f"{path}: the meta line keeps no iterations: {kept!r}")
+        raise ValueError(f"{meta_at}: the meta line keeps no iterations: {kept!r}")
     if len(acceptance) != meta["chains"]:
-        raise ValueError(f"{path}: has {len(acceptance)} '# chain' lines, "
+        raise ValueError(f"{meta_at}: has {len(acceptance)} '# chain' lines, "
                          f"its meta line counts {meta['chains']} chains")
 
     while not lines[-1]:  # trailing blank lines are not rows

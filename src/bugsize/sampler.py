@@ -50,7 +50,6 @@ __all__ = [
     "update_inclusion",
     "update_sizes",
     "update_mean_sizes",
-    "run_chain",
     "run_all",
 ]
 
@@ -341,13 +340,18 @@ def _start_chain(
     sampler_config: SamplerConfig,
     rng: np.random.Generator,
 ) -> _Run:
-    """Check the inputs, then draw the chain's dispersed start; no sweep has run."""
+    """Check the inputs, then draw the chain's start; no sweep has run.
+
+    Starts are dispersed: detected candidates included, the rest coin flips,
+    and sizes, size means and the inclusion probability drawn from their
+    priors.
+    """
     _check_campaign(campaign, model_config)
     _check_track(sampler_config.track, model_config.max_bugs)
     return _Run(_initial_state(campaign, model_config, sampler_config, rng), rng)
 
 
-def _advance_chain(
+def run_chain(
     campaign: TestCampaign,
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
@@ -356,9 +360,13 @@ def _advance_chain(
 ) -> tuple[np.ndarray, _Run]:
     """Run sweeps ``[run.it, stop)``; return the table columns they keep and the run after them.
 
-    The acceptance sums carry on from ``run``, added to in sweep order, so a
+    Always records the inclusion probability, the included-bug count and the
+    remaining (included-but-undetected) total size, plus inclusion, size and
+    size-mean trajectories for the tracked candidates, if any: one table row
+    per ``_draw_names(track)`` entry, one column per kept iteration.  The
+    acceptance sums carry on from ``run``, added to in sweep order, so a
     chain advanced in consecutive pieces ends with the same floats as one
-    advanced in a single piece.
+    advanced in a single piece.  perfbench's trace times sweeps by this name.
     """
     m = model_config.max_bugs
     n = campaign.detected_total
@@ -403,28 +411,6 @@ def _finish_chain(sampler_config: SamplerConfig, run: _Run) -> dict[str, float]:
     return acceptance
 
 
-def run_chain(
-    campaign: TestCampaign,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Run a single chain; return its kept draws and its acceptance rates.
-
-    Starts are dispersed: detected candidates included, the rest coin flips,
-    and sizes, size means and the inclusion probability drawn from their
-    priors.  Always records the inclusion probability, the included-bug
-    count and the remaining (included-but-undetected) total size, plus
-    inclusion, size and size-mean trajectories for the tracked candidates, if any:
-    one table row per ``_draw_names(track)`` entry, one column per kept
-    iteration.
-    """
-    run = _start_chain(campaign, model_config, sampler_config, rng)
-    table, run = _advance_chain(campaign, model_config, sampler_config, run,
-                                sampler_config.iterations)
-    return table, _finish_chain(sampler_config, run)
-
-
 def _run_segment(
     campaign: TestCampaign,
     model_config: ModelConfig,
@@ -436,20 +422,15 @@ def _run_segment(
     """Run one chain up to sweep ``stop``, from its seed or from the run its last segment left.
 
     Returns the kept table with the run after it, or with the chain's
-    acceptance rates once it has run every sweep (a whole chain is one
-    ``run_chain`` call, the span perfbench's trace times sweeps by).  An
-    error is returned, not raised, so that ``run_all`` can pick which to
-    raise: a ``ValueError`` (bad input) as it is, any other as a
-    ``RuntimeError`` naming the chain.
+    acceptance rates once it has run every sweep.  An error is returned, not
+    raised, so that ``run_all`` can pick which to raise: a ``ValueError``
+    (bad input) as it is, any other as a ``RuntimeError`` naming the chain.
     """
     try:
-        last = stop == sampler_config.iterations
         if isinstance(run, np.random.SeedSequence):
-            rng = np.random.default_rng(run)
-            if last:
-                return run_chain(campaign, model_config, sampler_config, rng)
-            run = _start_chain(campaign, model_config, sampler_config, rng)
-        table, run = _advance_chain(campaign, model_config, sampler_config, run, stop)
+            run = _start_chain(campaign, model_config, sampler_config, np.random.default_rng(run))
+        table, run = run_chain(campaign, model_config, sampler_config, run, stop)
+        last = stop == sampler_config.iterations
         return table, _finish_chain(sampler_config, run) if last else run
     except ValueError as exc:
         return exc

@@ -11,11 +11,13 @@
 # reads the fit; reliability, diagnose and fit --threads 1 import neither
 # numpy.ma nor concurrent.futures; a fit at --nu 1000 (certain detection)
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
-# exits 1 with an error that names it; a campaign count past int64 and a draws
-# file whose meta line claims 10^12 iterations each exit 1 with one error line
-# naming the file and no traceback; fit --nu 1_5 and simulate --t-max past
-# int64 each exit 1 with one error line, no traceback and no output directory;
-# a pooled fit writes the serial fit's draws and report byte for byte.  Exits non-zero at the first failure.
+# exits 1 with an error that names it, the same stderr at --threads 1 and 2;
+# a campaign count past int64 and a draws file whose meta line claims 10^12
+# iterations each exit 1 with one error line naming the file and no
+# traceback; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
+# one error line, no traceback and no output directory; a pooled fit writes
+# the serial fit's draws and report byte for byte.  Exits non-zero at the
+# first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -80,12 +82,17 @@ if grep RuntimeWarning "$out/nu.txt"; then
   echo "fit --nu 1000 wrote the warning(s) above" >&2
   exit 1
 fi
-# numpy cannot draw negative-binomial sizes at this dispersion; the error says which value
-code=0
-"${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --max-bugs 80 --dispersion 1e-40 \
-  --out "$out/dispersion" 2> "$out/dispersion.txt" > /dev/null || code=$?
-test "$code" -eq 1
-grep -q '^bugsize: error: dispersion 1e-40 ' "$out/dispersion.txt"
+# numpy cannot draw negative-binomial sizes at this dispersion; the error says
+# which value, and a serial and a pooled fit print the same error
+for threads in 1 2; do
+  code=0
+  "${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --max-bugs 80 --dispersion 1e-40 \
+    --threads "$threads" --out "$out/dispersion" 2> "$out/dispersion-$threads.txt" \
+    > /dev/null || code=$?
+  test "$code" -eq 1
+  grep -q '^bugsize: error: dispersion 1e-40 ' "$out/dispersion-$threads.txt"
+done
+cmp "$out/dispersion-1.txt" "$out/dispersion-2.txt"
 
 # malformed numbers: a test_cases count past int64, and a meta line that claims
 # more iterations than the file has rows (sized from it, the draws need 22 TiB)

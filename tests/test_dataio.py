@@ -76,7 +76,7 @@ def test_read_campaign_errors(tmp_path):
         read_campaign(path)
 
     path.write_text("mission,phase,test_cases,bugs_detected\nM1,1,5,0\nM1,1,6,0\n")
-    with pytest.raises(ValueError, match=r"duplicate cell \(M1, 1\)"):
+    with pytest.raises(ValueError, match=r"bad.csv:3: duplicate cell \(M1, 1\)"):
         read_campaign(path)
 
     path.write_text("mission,phase,test_cases,bugs_detected\nM1,1,5,0\nM2,2,6,0\n")
@@ -147,8 +147,13 @@ def test_draws_round_trip(tmp_path, small_chainset):
     assert loaded.draws.shape == (3, 15, 20)
     assert loaded.draws.tobytes() == chainset.draws.tobytes()
     # trailing blank lines are not rows
-    path.write_text(path.read_text() + "\n\n")
+    written = path.read_text()
+    path.write_text(written + "\n\n")
     assert read_draws(path).draws.tobytes() == chainset.draws.tobytes()
+    # other comment lines before the header are skipped
+    path.write_text(written.replace("\n# meta ", "\n# note: kept by hand\n# meta ", 1))
+    write_draws(read_draws(path), tmp_path / "rewritten.csv")
+    assert (tmp_path / "rewritten.csv").read_text() == written
 
 
 def test_fitted_draws_file_rewrites_byte_for_byte(tmp_path):
@@ -301,7 +306,7 @@ def test_read_draws_rejects_a_missing_chain_line(tmp_path, small_chainset):
     path, lines = written_lines(tmp_path, chainset)
     del lines[4]
     path.write_text("\n".join(lines) + "\n")
-    assert rejection(path) == f"{path}: has 2 '# chain' lines, its meta line counts 3 chains"
+    assert rejection(path) == f"{path}:2: has 2 '# chain' lines, its meta line counts 3 chains"
 
 
 def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
@@ -318,11 +323,11 @@ def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
         ("# meta chains=3 iterations=40 burn_in=20 thin=1 base_seed=60\n", "",
          ": no '# meta' line gives chains, iterations, burn_in, thin, base_seed"),
         (" base_seed=60", "", ": no '# meta' line gives base_seed"),
-        ("thin=1", "thin=0", ": meta thin must be >= 1, got 0"),
+        ("thin=1", "thin=0", ":{edited}: meta thin must be >= 1, got 0"),
         ("burn_in=20", "burn_in=10", ":{first}: expected a row starting '0,10,', got {first_row}"),
         ("\n0,25,total_bugs,", "\n0,26,total_bugs,",
          ":{edited}: expected a row starting '0,25,total_bugs,', got {edited_row}"),
-        ("burn_in=20", "burn_in=40", ": the meta line keeps no iterations: range(40, 40)"),
+        ("burn_in=20", "burn_in=40", ":{edited}: the meta line keeps no iterations: range(40, 40)"),
         # checked against the rows before any array is sized: not 22 TiB of draws
         ("iterations=40", "iterations=1000000000000",
          ":{after_block}: expected a row starting '0,40,inclusion_prob,', got {after_block_row}"),
@@ -330,7 +335,7 @@ def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
          ":{edited}: meta field 'iterations=99999999999999999999' must be an integer"),
         # 2**64 - 1 kept iterations, more than len() can return
         ("iterations=40 burn_in=20", "iterations=9223372036854775807 burn_in=-9223372036854775808",
-         ": meta burn_in must be >= 0, got -9223372036854775808"),
+         ":{edited}: meta burn_in must be >= 0, got -9223372036854775808"),
     ],
     ids=["no-meta-line", "no-base-seed", "thin-0", "other-burn-in", "off-grid-row",
          "no-kept-iterations", "iterations-past-the-rows", "iterations-past-int64",
@@ -451,11 +456,14 @@ def test_report_requires_stamp_and_writable_path(tmp_path):
 
 
 def test_report_none_for_nonfinite(tmp_path):
-    doc = {"format": "bugsize-report-v1", "value": float("nan"), "other": float("inf")}
+    doc = {"format": "bugsize-report-v1", "value": float("nan"), "other": float("inf"),
+           "count": np.int64(3), "ceiling": np.float64("inf")}
     path = tmp_path / "nan.json"
     write_report(doc, path)
     loaded = json.loads(path.read_text())
     assert loaded["value"] is None and loaded["other"] is None
+    assert loaded["count"] == 3 and type(loaded["count"]) is int
+    assert loaded["ceiling"] is None
 
 
 # ----------------------------------------------------------- trace / curve

@@ -22,7 +22,6 @@ from bugsize.sampler import (
     SamplerConfig,
     draw_inclusion_prob,
     run_all,
-    run_chain,
     update_inclusion,
     update_mean_sizes,
     update_sizes,
@@ -424,14 +423,16 @@ def test_run_chain_matches_reference_updates(monkeypatch):
     camp = TestCampaign(test_cases=[[40, 9, 70], [12, 55, 3]],
                         bugs_detected=[[4, 1, 2], [0, 3, 0]])
     config = ModelConfig(max_bugs=300)
-    scfg = SamplerConfig(iterations=300, burn_in=100, thin=2, track=tuple(range(300)))
-    got, got_acceptance = run_chain(camp, config, scfg, np.random.default_rng(36))
-    from bugsize import sampler
+    scfg = SamplerConfig(chains=1, iterations=300, burn_in=100, thin=2, seed=36,
+                         track=tuple(range(300)))
+    chain = run_all(camp, config, scfg)
+    got, (got_acceptance,) = chain.draws[0], chain.acceptance
 
     monkeypatch.setattr(sampler, "update_inclusion", ref_update_inclusion)
     monkeypatch.setattr(sampler, "update_sizes", ref_update_sizes)
     monkeypatch.setattr(sampler, "update_mean_sizes", ref_update_mean_sizes)
-    want, want_acceptance = run_chain(camp, config, scfg, np.random.default_rng(36))
+    chain = run_all(camp, config, scfg)
+    want, (want_acceptance,) = chain.draws[0], chain.acceptance
     assert got.shape == (3 + 3 * 300, len(range(100, 300, 2)))
     assert got.tobytes() == want.tobytes()
     assert got_acceptance == want_acceptance
@@ -449,11 +450,10 @@ def test_run_chain_matches_reference_updates(monkeypatch):
 def test_run_chain_deterministic():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=1, iterations=200, seed=0, track=(0, 1, 3, 4))
-    a, a_acceptance = run_chain(camp, config, scfg, np.random.default_rng(123))
-    b, b_acceptance = run_chain(camp, config, scfg, np.random.default_rng(123))
-    assert np.array_equal(a, b)
-    assert a_acceptance == b_acceptance
+    scfg = SamplerConfig(chains=1, iterations=200, seed=123, track=(0, 1, 3, 4))
+    a, b = run_all(camp, config, scfg), run_all(camp, config, scfg)
+    assert np.array_equal(a.draws, b.draws)
+    assert a.acceptance == b.acceptance
 
 
 def test_run_chain_zero_detections_matches_enumeration():
@@ -468,7 +468,7 @@ def test_run_chain_zero_detections_matches_enumeration():
     lam = np.linspace(1e-4, 40.0, 6001)
     weights = np.exp(stats.gamma.logpdf(lam, 2.0, scale=1.0))
     s = np.arange(0, 201)
-    size_marginal = np.trapezoid(
+    size_marginal = integrate.trapezoid(
         np.exp(nb_log_pmf(s[:, None], lam[None, :], 5.0)) * weights[None, :], lam, axis=1
     )
     size_marginal /= size_marginal.sum()
@@ -488,14 +488,14 @@ def test_run_chain_zero_detections_matches_enumeration():
 def test_run_chain_rejects_low_ceiling_and_empty_campaign():
     config = ModelConfig(max_bugs=1)
     with pytest.raises(ValueError, match="ceiling"):
-        run_chain(
+        sampler._start_chain(
             TestCampaign(test_cases=[[5]], bugs_detected=[[3]]),
             config,
             SamplerConfig(iterations=10),
             np.random.default_rng(0),
         )
     with pytest.raises(ValueError, match="testing effort"):
-        run_chain(
+        sampler._start_chain(
             TestCampaign(test_cases=[[0]], bugs_detected=[[0]]),
             config,
             SamplerConfig(iterations=10),
@@ -593,8 +593,9 @@ def test_run_chain_rejects_repeated_track_before_sampling(monkeypatch):
     # a repeated index would record one column name twice
     monkeypatch.setattr(sampler, "_initial_state", None)  # sampling would call it
     with pytest.raises(ValueError, match=r"tracked candidate indices repeat: \(0, 3, 0\)"):
-        run_chain(single_cell_campaign(), ModelConfig(max_bugs=6),
-                  SamplerConfig(iterations=10, track=(0, 3, 0)), np.random.default_rng(0))
+        sampler._start_chain(single_cell_campaign(), ModelConfig(max_bugs=6),
+                             SamplerConfig(iterations=10, track=(0, 3, 0)),
+                             np.random.default_rng(0))
 
 
 # workers see a monkeypatched advance only when forked from this process
@@ -610,14 +611,14 @@ def chain_of(rng):
 
 @needs_fork
 def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
-    # the serial run_chain and the pool's segments both advance through this
+    # serial and pooled segments both sweep through run_chain
     def broken_advance(campaign, model_config, sampler_config, run, stop):
         chain_index = chain_of(run.rng)
         if chain_index == 0:
             time.sleep(0.3)  # chain 1 fails first
         raise ArithmeticError(f"broke in chain {chain_index}")
 
-    monkeypatch.setattr(sampler, "_advance_chain", broken_advance)
+    monkeypatch.setattr(sampler, "run_chain", broken_advance)
     camp = single_cell_campaign()
     for workers in (1, 2):
         scfg = SamplerConfig(chains=2, iterations=10, workers=workers)
@@ -636,7 +637,7 @@ def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path)
         time.sleep(0.5)
         return np.empty((0, 0)), run
 
-    monkeypatch.setattr(sampler, "_advance_chain", advance_or_fail)
+    monkeypatch.setattr(sampler, "run_chain", advance_or_fail)
     # the pool holds at most two segments at a time: when chain 0's first
     # fails, only chain 1's first is running, and no later segment starts
     scfg = SamplerConfig(chains=10, iterations=10, workers=2)
@@ -650,7 +651,7 @@ def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path)
 def test_run_all_pool_names_a_lower_chain_that_fails_in_a_later_segment(monkeypatch):
     # on 2 workers each of the 3 chains runs as 2 segments: chain 2 fails in
     # its first, chain 1 only in its last, which runs after chain 2 has failed
-    advance = sampler._advance_chain
+    advance = sampler.run_chain
 
     def late_advance(campaign, model_config, sampler_config, run, stop):
         chain_index = chain_of(run.rng)
@@ -658,7 +659,7 @@ def test_run_all_pool_names_a_lower_chain_that_fails_in_a_later_segment(monkeypa
             raise ArithmeticError(f"broke in chain {chain_index} before sweep {stop}")
         return advance(campaign, model_config, sampler_config, run, stop)
 
-    monkeypatch.setattr(sampler, "_advance_chain", late_advance)
+    monkeypatch.setattr(sampler, "run_chain", late_advance)
     for workers in (1, 2):
         scfg = SamplerConfig(chains=3, iterations=10, workers=workers)
         with pytest.raises(RuntimeError) as err:
@@ -674,17 +675,18 @@ SCHEDULE_MODEL = ModelConfig(max_bugs=9, mean_size_shape=2.0, mean_size_rate=1.0
 
 def test_advance_in_pieces_matches_run_chain():
     scfg = SamplerConfig(iterations=40, burn_in=9, thin=3, seed=8, track=(0, 4, 8))
-    table, acceptance = run_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg,
-                                  np.random.default_rng(81))
+    whole = sampler._start_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg,
+                                 np.random.default_rng(81))
+    table, whole = sampler.run_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, whole, 40)
     run = sampler._start_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
     parts = []
     # pieces that end before, at and inside the burn-in, and an empty one
     for stop in (4, 9, 9, 23, 40):
-        part, run = sampler._advance_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, run, stop)
+        part, run = sampler.run_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, run, stop)
         parts.append(part)
     assert [p.shape[1] for p in parts] == [0, 0, 0, 5, 6]
     assert np.concatenate(parts, axis=1).tobytes() == table.tobytes()
-    assert sampler._finish_chain(scfg, run) == acceptance
+    assert sampler._finish_chain(scfg, run) == sampler._finish_chain(scfg, whole)
 
 
 @pytest.mark.parametrize(
@@ -725,7 +727,7 @@ def test_default_track_records_the_scalar_rows_of_a_full_track_run(workers):
 def test_run_all_pool_runs_each_chain_in_order_on_at_most_workers(
     monkeypatch, tmp_path, chains, workers
 ):
-    advance = sampler._advance_chain
+    advance = sampler.run_chain
     pause = 0.3
 
     def recorded_advance(campaign, model_config, sampler_config, run, stop):
@@ -736,7 +738,7 @@ def test_run_all_pool_runs_each_chain_in_order_on_at_most_workers(
             f"{began} {time.monotonic()}")
         return out
 
-    monkeypatch.setattr(sampler, "_advance_chain", recorded_advance)
+    monkeypatch.setattr(sampler, "run_chain", recorded_advance)
     iterations = 20
     scfg = SamplerConfig(chains=chains, iterations=iterations, workers=workers)
     run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg)
@@ -857,6 +859,6 @@ def test_chains_settle_well_within_the_default_burn_in(name):
             elif start == "all-excluded":
                 run.state.include[n:] = False
                 run.state.inclusion_prob = 1 / (m + 2)
-            table, _ = sampler._advance_chain(campaign, config, scfg, run, sweeps)
+            table, _ = sampler.run_chain(campaign, config, scfg, run, sweeps)
             totals = table[1]
             assert np.any((low <= totals) & (totals <= high)), (start, seed, low, high, totals)
