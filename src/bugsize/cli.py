@@ -12,13 +12,20 @@ import argparse
 import gc
 import math
 import os
+import re
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, diagnostics, reliability, simulate
+# A module only one command runs is imported inside it (simulate, reliability).
+# The modules below load for every command, as two facts of perfbench/run.py
+# require: its import-time check fails a run unless importing bugsize.cli lists
+# bugsize.diagnostics, and its tracer wraps cli.run_all, which brings in the
+# sampler and the model.
+from . import dataio, diagnostics
 from .model import ModelConfig
 from .sampler import DEFAULT_BURN_IN_CAP, SamplerConfig, _check_campaign, run_all
 
@@ -44,10 +51,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _number(kind, name: str, *, int64: bool = True):
+def _number(kind, name: str, *, seed: bool = False):
     """An argparse ``type`` that reads a flag by :func:`dataio._parse_token`'s rule; argparse
     drops the rule's message and writes ``argument --flag: invalid <name> value: '<text>'``."""
-    parse = partial(dataio._parse_token, kind, where="", what="", expected=name, int64=int64)
+    parse = partial(dataio._parse_token, kind, where="", what="", expected=name, seed=seed)
     parse.__name__ = name
     return parse
 
@@ -65,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--nu", type=_FLOAT, default=ModelConfig.size_exponent,
                         help="detection-decay exponent")
     shared.add_argument("--dispersion", type=_FLOAT, default=ModelConfig.dispersion)
-    shared.add_argument("--seed", type=_number(int, "integer", int64=False), default=0)
+    shared.add_argument("--seed", type=_number(int, "non-negative integer", seed=True), default=0)
     shared.add_argument("--out", default=None, help="output directory")
 
     sim = sub.add_parser("simulate", parents=[shared],
@@ -115,6 +122,8 @@ def _model_config(args) -> ModelConfig:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     config = _model_config(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     campaign, truth = simulate.generate_campaign(
@@ -225,6 +234,8 @@ def _parse_epsilons(raw: str) -> list[float]:
 
 
 def cmd_reliability(args) -> int:
+    from . import reliability
+
     chainset = dataio.read_draws(args.draws)
     try:
         curve = reliability.reliability_curve(chainset, _parse_epsilons(args.epsilon))
@@ -239,6 +250,24 @@ def cmd_reliability(args) -> int:
     return EXIT_OK
 
 
+def _trace_files(names: list[str], draws) -> dict[str, str]:
+    """Each parameter's trace file, ``trace_<name>.csv`` with ``[`` mapped to ``_`` and
+    ``]`` dropped; refuses a name that maps to anything but letters, digits and ``_``,
+    and names that map to one file, before any is written."""
+    files = {name: f"trace_{name.replace('[', '_').replace(']', '')}.csv" for name in names}
+    unsafe = [name for name, file in files.items()
+              if not re.fullmatch(r"trace_[A-Za-z0-9_]+\.csv", file)]
+    if unsafe:
+        raise ValueError(f"{draws}: parameter names {', '.join(map(repr, unsafe))} do not "
+                         "map to trace file names of letters, digits and '_'")
+    uses = Counter(files.values())
+    clashing = [name for name, file in files.items() if uses[file] > 1]
+    if clashing:
+        raise ValueError(f"{draws}: parameter names {', '.join(map(repr, clashing))} map to "
+                         "one trace file name")
+    return files
+
+
 def cmd_diagnose(args) -> int:
     chainset = dataio.read_draws(args.draws)
     if chainset.n_chains < 2:
@@ -246,13 +275,13 @@ def cmd_diagnose(args) -> int:
     if chainset.kept_per_chain < 4:
         raise ValueError(f"{args.draws}: split R-hat needs at least 4 kept draws per chain, "
                          f"the file holds {chainset.kept_per_chain}")
+    trace_files = _trace_files(chainset.names, args.draws)
     report = diagnostics.summarize(chainset)
     out = _out_dir(args)
     print(f"{'parameter':<18} {'R-hat':>8} {'upper':>8} {'ESS':>12}")
     for name, summary in report.items():
         print(f"{name:<18} {summary.rhat:8.4f} {summary.rhat_upper:8.4f} {summary.ess:12.2f}")
-        safe = name.replace("[", "_").replace("]", "")
-        dataio.write_trace(diagnostics.trace_export(chainset, name), out / f"trace_{safe}.csv")
+        dataio.write_trace(diagnostics.trace_export(chainset, name), out / trace_files[name])
     print(f"trace files in: {out}")
     return EXIT_OK
 

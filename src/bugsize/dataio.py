@@ -7,9 +7,7 @@ Draw files carry a version stamp that readers refuse to ignore.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
 from pathlib import Path
 
@@ -47,6 +45,8 @@ def read_campaign(path) -> TestCampaign:
     set, counts must be non-negative, and duplicate cells are rejected.
     Owns the campaign's rules; its numbers follow :func:`_parse_token`'s.
     """
+    import csv  # loaded by the commands that read a campaign only
+
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -149,8 +149,10 @@ def read_draws(path) -> ChainSet:
             meta_at = where
             for token in line[len("# meta ") :].split():
                 key, _, value = token.partition("=")
+                seed = key == "base_seed"
                 meta[key] = _parse_token(int, value, where, f"meta field {token!r}",
-                                         "an integer", int64=key != "base_seed")
+                                         "a non-negative integer" if seed else "an integer",
+                                         seed=seed)
         elif line.startswith("# chain "):
             tokens = line[len("# chain ") :].split()
             if not tokens:
@@ -247,16 +249,16 @@ def _unexpected(path, lines: list[str], i: int, expected: str):
     raise ValueError(f"{path}:{i + 1}: expected {expected}, got {got}")
 
 
-def _parse_token(kind, text: str, where: str, what: str, expected: str, *, int64=True):
+def _parse_token(kind, text: str, where: str, what: str, expected: str, *, seed=False):
     """``kind(text)`` by the rule every number read from text follows (campaign, draws
     file, ``--epsilon``, numeric flags): no ``_`` digit grouping, a ``float`` finite, an
-    ``int`` within int64 (``int64=False``: a seed, numpy takes any size)."""
+    ``int`` within int64 (``seed=True``: non-negative of any size, as numpy takes seeds)."""
     try:
         value = kind(text)
     except ValueError:
         value = None
     if (value is None or "_" in text or (kind is float and not math.isfinite(value))
-            or (kind is int and int64 and not -(2**63) <= value < 2**63)):
+            or (kind is int and not (0 <= value if seed else -(2**63) <= value < 2**63))):
         raise ValueError(f"{where}: {what} must be {expected}")
     return value
 
@@ -322,6 +324,8 @@ def write_report(doc: dict, path) -> None:
     """Write a report document as deterministic, sorted-key JSON."""
     if "format" not in doc:
         raise ValueError("report document must carry a format stamp")
+    import json  # loaded by the commands that write a report only
+
     _write_lines(path, [json.dumps(_jsonable(doc), indent=2, sort_keys=True)])
 
 

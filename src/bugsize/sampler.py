@@ -94,6 +94,8 @@ class SamplerConfig:
             raise ValueError("need at least one iteration")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.fixed_mean_size is not None:

@@ -9,7 +9,9 @@
 # default burn-in is half of --iters, at most 200 sweeps; diagnose prints
 # report.json's R-hat, upper bound and ESS for every parameter; reliability
 # reads the fit; reliability, diagnose and fit --threads 1 import neither
-# numpy.ma nor concurrent.futures; a fit at --nu 1000 (certain detection)
+# numpy.ma nor concurrent.futures, nor bugsize.simulate; reliability and
+# diagnose import neither json nor csv, and diagnose and fit import no
+# bugsize.reliability; a fit at --nu 1000 (certain detection)
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
 # exits 1 with an error that names it, the same stderr at --threads 1 and 2;
 # a campaign count past int64 and a draws file whose meta line claims 10^12
@@ -60,16 +62,24 @@ EOF
 "${bugsize[@]}" reliability "$out/draws.csv" --epsilon 50,100,200 --out "$out"
 
 # reading a fit, or fitting serially, loads neither numpy.ma nor the process
-# pool; names are matched whole, since numpy.matrixlib begins with the text
-# "numpy.ma".  Each command's second word names its input file under $out
+# pool, and each command loads only the modules it runs: reliability and
+# diagnose read no campaign and write no report (csv, json), none but simulate
+# simulates, and diagnose computes no curve.  Names are matched whole, since
+# numpy.matrixlib begins with the text "numpy.ma".  Each command's second word
+# names its input file under $out
 for command in "reliability draws.csv --epsilon 100" "diagnose draws.csv" \
     "fit campaign.csv --iters 20 --max-bugs 80 --threads 1"; do
   read -ra argv <<< "$command"
   argv[1]="$out/${argv[1]}"
+  case "${argv[0]}" in
+    reliability) unused='|bugsize\.simulate|json|csv' ;;
+    diagnose) unused='|bugsize\.simulate|bugsize\.reliability|json|csv' ;;
+    fit) unused='|bugsize\.simulate|bugsize\.reliability' ;;
+  esac
   PYTHONPROFILEIMPORTTIME=1 "${bugsize[@]}" "${argv[@]}" \
     --out "$out/imports" 2> "$out/imports.txt" > /dev/null
   grep -Eq '\| +numpy$' "$out/imports.txt"  # the import profile was written
-  if grep -E '\| +(numpy\.ma|concurrent\.futures)$' "$out/imports.txt"; then
+  if grep -E '\| +(numpy\.ma|concurrent\.futures'"$unused"')$' "$out/imports.txt"; then
     echo "${argv[0]} imports the module(s) above" >&2
     exit 1
   fi

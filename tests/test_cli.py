@@ -292,10 +292,13 @@ NUMERIC_FLAGS = {
                                            NUMERIC_FLAGS.items() for flag in flags])
 def test_numeric_flags_follow_the_number_rule(tmp_path, capsys, command, flag):
     # the rule of numbers read from files: no "_" grouping, floats finite, and
-    # integers within int64, except the seed, which numpy takes at any size;
-    # 99999999999999999999 is a finite float, so only integer flags refuse it
+    # integers within int64, except the seed, which numpy takes at any size but
+    # not below 0; 99999999999999999999 is a finite float, so only integer flags
+    # refuse it
     values = ["1_0", "nan", "inf", ""]
-    if flag != "--seed" and flag not in ("--nu", "--dispersion", "--rhat-warn"):
+    if flag == "--seed":
+        values.append("-1")
+    elif flag not in ("--nu", "--dispersion", "--rhat-warn"):
         values.append("99999999999999999999")
     # a value wrongly taken starts at most a short fit: the tested flag comes last
     fit = [str(small_campaign_file(tmp_path)), "--iters", "20", "--threads", "1"]
@@ -316,7 +319,7 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, 
     def out_of_memory(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli.simulate, "generate_campaign", out_of_memory)
+    monkeypatch.setattr(bugsize.simulate, "generate_campaign", out_of_memory)
     assert main(["simulate", "--missions", "1000000000000", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"bugsize: error: {printed or message}\n"
     assert not (tmp_path / "o").exists()
@@ -522,6 +525,34 @@ def test_diagnose_prints_and_exports(tmp_path, capsys):
         "inclusion_prob", "total_bugs", "remaining_size"}
     assert sorted(path.name for path in out.glob("trace_*.csv")) == [
         "trace_inclusion_prob.csv", "trace_remaining_size.csv", "trace_total_bugs.csv"]
+
+
+@pytest.mark.parametrize("renames, refused", [
+    # a[1] maps to trace_a_1.csv, so one trace file would overwrite the other
+    ({"total_bugs": "a[1]", "inclusion_prob": "a_1"},
+     "parameter names 'a_1', 'a[1]' map to one trace file name"),
+    # a name that maps outside letters, digits and "_" could name any path
+    ({"total_bugs": "../../escape"},
+     "parameter names '../../escape' do not map to trace file names of letters, "
+     "digits and '_'"),
+], ids=["clashing", "unsafe"])
+def test_diagnose_refuses_trace_names_before_writing_any(tmp_path, capsys, renames, refused):
+    code, fit = run_fit(tmp_path, small_campaign_file(tmp_path))
+    assert code == 0
+    draws = fit / "draws.csv"
+    text = draws.read_text()
+    for old, new in renames.items():
+        text = text.replace(f",{old},", f",{new},")
+    draws.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "traces"
+    (out / "trace_..").mkdir(parents=True)  # where ../../escape would resolve
+    assert main(["diagnose", str(draws), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bugsize: error: {draws}: {refused}\n"
+    assert [path.name for path in out.iterdir()] == ["trace_.."]
+    assert not list(tmp_path.glob("**/escape.csv"))
 
 
 def test_diagnose_single_chain_rejected(tmp_path, capsys):

@@ -333,13 +333,16 @@ def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
          ":{after_block}: expected a row starting '0,40,inclusion_prob,', got {after_block_row}"),
         ("iterations=40", "iterations=99999999999999999999",
          ":{edited}: meta field 'iterations=99999999999999999999' must be an integer"),
+        # numpy seeds from any non-negative integer, and from no negative one
+        ("base_seed=60", "base_seed=-1",
+         ":{edited}: meta field 'base_seed=-1' must be a non-negative integer"),
         # 2**64 - 1 kept iterations, more than len() can return
         ("iterations=40 burn_in=20", "iterations=9223372036854775807 burn_in=-9223372036854775808",
          ":{edited}: meta burn_in must be >= 0, got -9223372036854775808"),
     ],
     ids=["no-meta-line", "no-base-seed", "thin-0", "other-burn-in", "off-grid-row",
          "no-kept-iterations", "iterations-past-the-rows", "iterations-past-int64",
-         "negative-burn-in"],
+         "negative-base-seed", "negative-burn-in"],
 )
 def test_read_draws_checks_iterations_against_meta(tmp_path, small_chainset, old, new, message):
     _, _, chainset = small_chainset

@@ -67,6 +67,9 @@ def test_sampler_config_defaults_and_validation():
         SamplerConfig(iterations=10, burn_in=10)
     with pytest.raises(ValueError):
         SamplerConfig(thin=0)
+    # numpy seeds from any non-negative integer; a negative one fails by name here
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SamplerConfig(seed=-1)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
