@@ -27,7 +27,8 @@ import numpy as np
 # sampler and the model.
 from . import dataio, diagnostics
 from .model import ModelConfig
-from .sampler import DEFAULT_BURN_IN_CAP, SamplerConfig, _check_campaign, run_all
+from .sampler import (DEFAULT_BURN_IN_CAP, SamplerConfig, _check_campaign,
+                      _check_memory, run_all)
 
 __all__ = ["main", "entry"]
 
@@ -187,6 +188,7 @@ def cmd_fit(args) -> int:
         _check_campaign(campaign, model_config)
     except ValueError as exc:
         raise ValueError(f"{args.campaign}: {exc}") from None
+    _check_memory(model_config, sampler_config)
     out = _out_dir(args)
     chainset = run_all(campaign, model_config, sampler_config)
     report = diagnostics.summarize(chainset)
@@ -228,9 +230,9 @@ def cmd_fit(args) -> int:
 
 
 def _parse_epsilons(raw: str) -> list[float]:
-    # reliability_curve checks the grid, an empty one included
+    # every token is a number, an empty one too; reliability_curve checks the grid
     return [dataio._parse_token(float, tok, "--epsilon", f"threshold {tok!r}", "a number")
-            for tok in raw.split(",") if tok.strip()]
+            for tok in raw.split(",")]
 
 
 def cmd_reliability(args) -> int:

@@ -27,6 +27,7 @@ the same bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -60,6 +61,14 @@ __all__ = [
 # campaigns of M = 400 to 40,000 candidates (the table is in ROADMAP.md,
 # item 5).
 DEFAULT_BURN_IN_CAP = 200
+
+# The bytes a sweep holds per candidate: the chain's state and the updates'
+# temporaries.  numpy's peak allocation in a serial run_all on the bundled
+# campaign (tracemalloc, 4 sweeps) is 65.0 bytes per candidate at max_bugs =
+# 1,000,000, for 1 and 3 chains; a serial fit's peak RSS grows by 66 to 73
+# bytes per candidate between 1,000,000 and 2,000,000, as the allocator's
+# state has it.  The lower figure keeps the memory check a floor.
+_SWEEP_BYTES_PER_CANDIDATE = 65
 
 
 @dataclass(frozen=True)
@@ -304,25 +313,30 @@ def _check_campaign(campaign: TestCampaign, model_config: ModelConfig) -> None:
         raise ValueError("no testing effort: every cell has zero test cases")
 
 
-def _initial_state(
-    campaign: TestCampaign,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    rng: np.random.Generator,
-) -> AugmentedState:
-    m = model_config.max_bugs
-    n = campaign.detected_total
-    include = rng.random(m) < 0.5
-    include[:n] = True
-    if sampler_config.fixed_mean_size is not None:
-        mean_size = np.full(m, float(sampler_config.fixed_mean_size))
-    else:
-        mean_size = rng.gamma(model_config.mean_size_shape, 1.0 / model_config.mean_size_rate, m)
-    size = _draw_sizes(mean_size, model_config.dispersion, rng)
-    # a detected bug of size 0 would be undetectable; start those at size 1
-    size[:n] = np.maximum(size[:n], 1)
-    psi = float(rng.random())
-    return AugmentedState(include, size, mean_size, psi, n)
+def _physical_memory() -> float:
+    """Bytes of physical memory as the OS reports them; infinite where it reports none."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _check_memory(model_config: ModelConfig, sampler_config: SamplerConfig) -> None:
+    """Reject a fit whose chain states and kept draws alone exceed physical memory.
+
+    Each worker holds one chain's sweep at a time, and the kept draws are
+    8-byte floats, one per chain, recorded quantity and kept sweep.
+    """
+    chains = sampler_config.chains
+    workers = min(sampler_config.workers, chains)
+    kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
+    need = (workers * _SWEEP_BYTES_PER_CANDIDATE * model_config.max_bugs
+            + 8 * chains * len(_draw_names(sampler_config.track)) * len(kept))
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"a fit of max_bugs={model_config.max_bugs} with {chains} chains "
+                         f"needs at least {need:,} bytes for its chain states and kept draws, "
+                         f"more than the {have:,} bytes of physical memory")
 
 
 @dataclass
@@ -337,24 +351,34 @@ class _Run:
 
 
 def _start_chain(
-    campaign: TestCampaign,
+    n: int,
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
     rng: np.random.Generator,
 ) -> _Run:
-    """Check the inputs, then draw the chain's start; no sweep has run.
+    """Draw the start of a chain on ``n`` detected candidates; no sweep has run.
 
     Starts are dispersed: detected candidates included, the rest coin flips,
     and sizes, size means and the inclusion probability drawn from their
     priors.
     """
-    _check_campaign(campaign, model_config)
-    _check_track(sampler_config.track, model_config.max_bugs)
-    return _Run(_initial_state(campaign, model_config, sampler_config, rng), rng)
+    m = model_config.max_bugs
+    include = rng.random(m) < 0.5
+    include[:n] = True
+    if sampler_config.fixed_mean_size is not None:
+        mean_size = np.full(m, float(sampler_config.fixed_mean_size))
+    else:
+        mean_size = rng.gamma(model_config.mean_size_shape, 1.0 / model_config.mean_size_rate, m)
+    size = _draw_sizes(mean_size, model_config.dispersion, rng)
+    # a detected bug of size 0 would be undetectable; start those at size 1
+    size[:n] = np.maximum(size[:n], 1)
+    psi = float(rng.random())
+    return _Run(AugmentedState(include, size, mean_size, psi, n), rng)
 
 
 def run_chain(
-    campaign: TestCampaign,
+    n: int,
+    t_max: int,
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
     run: _Run,
@@ -371,9 +395,6 @@ def run_chain(
     advanced in a single piece.  perfbench's trace times sweeps by this name.
     """
     m = model_config.max_bugs
-    n = campaign.detected_total
-    t_max = campaign.t_max
-
     track = np.array(sampler_config.track, dtype=np.intp)
     kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
     # the first len(range(kept.start, x, kept.step)) kept iterations are those below x
@@ -414,26 +435,25 @@ def _finish_chain(sampler_config: SamplerConfig, run: _Run) -> dict[str, float]:
 
 
 def _run_segment(
-    campaign: TestCampaign,
+    n: int,
+    t_max: int,
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
     chain_index: int,
     run: _Run | np.random.SeedSequence,
     stop: int,
-) -> tuple[np.ndarray, _Run | dict[str, float]] | Exception:
+) -> tuple[np.ndarray, _Run] | Exception:
     """Run one chain up to sweep ``stop``, from its seed or from the run its last segment left.
 
-    Returns the kept table with the run after it, or with the chain's
-    acceptance rates once it has run every sweep.  An error is returned, not
-    raised, so that ``run_all`` can pick which to raise: a ``ValueError``
-    (bad input) as it is, any other as a ``RuntimeError`` naming the chain.
+    Returns the kept table with the run after it; the chain reads the campaign
+    as ``n`` and ``t_max``, which ``run_all`` has checked.  An error is
+    returned, not raised, so that ``run_all`` can pick which to raise: a
+    ``ValueError`` as it is, any other as a ``RuntimeError`` naming the chain.
     """
     try:
         if isinstance(run, np.random.SeedSequence):
-            run = _start_chain(campaign, model_config, sampler_config, np.random.default_rng(run))
-        table, run = run_chain(campaign, model_config, sampler_config, run, stop)
-        last = stop == sampler_config.iterations
-        return table, _finish_chain(sampler_config, run) if last else run
+            run = _start_chain(n, model_config, sampler_config, np.random.default_rng(run))
+        return run_chain(n, t_max, model_config, sampler_config, run, stop)
     except ValueError as exc:
         return exc
     except Exception as exc:
@@ -479,32 +499,41 @@ def run_all(
     rounds take one segment's time each, so 3 chains on 2 workers take 1.5
     chain-times rather than 2.  A chain's draws are the same bytes for any W.
 
-    A failing chain raises the error a serial run would: a ``ValueError``
-    unchanged, anything else as a ``RuntimeError`` naming the chain.  Once
-    one fails, only lower-numbered chains, which may fail too, take further
-    segments; the lowest failed chain's error is raised.
+    The campaign, the tracked indices and the memory estimate are checked
+    once, before any worker starts; a chain reads the campaign only as its
+    detected count ``n`` and ``t_max``.  A failing chain raises the error a
+    serial run would: a ``ValueError`` unchanged, anything else as a
+    ``RuntimeError`` naming the chain.  Once one fails, only lower-numbered
+    chains, which may fail too, take further segments; the lowest failed
+    chain's error is raised.
     """
-    n = sampler_config.chains
-    workers = min(sampler_config.workers, n)
-    pieces = workers // math.gcd(n, workers)
+    _check_campaign(campaign, model_config)
+    _check_track(sampler_config.track, model_config.max_bugs)
+    _check_memory(model_config, sampler_config)
+    count = sampler_config.chains
+    workers = min(sampler_config.workers, count)
+    pieces = workers // math.gcd(count, workers)
     stops = [(k + 1) * sampler_config.iterations // pieces for k in range(pieces)]
-    segment = partial(_run_segment, campaign, model_config, sampler_config)
+    segment = partial(_run_segment, campaign.detected_total, campaign.t_max, model_config,
+                      sampler_config)
     # a chain's seed until its first segment returns, its acceptance rates after its last
-    runs: list = np.random.SeedSequence(sampler_config.seed).spawn(n)
-    parts: list[list[np.ndarray]] = [[] for _ in range(n)]
+    runs: list = np.random.SeedSequence(sampler_config.seed).spawn(count)
+    parts: list[list[np.ndarray]] = [[] for _ in range(count)]
     failed: dict[int, Exception] = {}
     with _round_map(workers) as run_round:
-        for first in range(0, n * pieces, workers):
-            lowest = min(failed, default=n)
-            chains = [t % n for t in range(first, first + workers) if t % n < lowest]
+        for first in range(0, count * pieces, workers):
+            lowest = min(failed, default=count)
+            chains = [t % count for t in range(first, first + workers) if t % count < lowest]
             results = run_round(segment, chains, [runs[c] for c in chains],
                                 [stops[len(parts[c])] for c in chains])
             for c, result in zip(chains, results):
                 if isinstance(result, Exception):
                     failed[c] = result
                 else:
-                    table, runs[c] = result
+                    table, run = result
                     parts[c].append(table)
+                    runs[c] = run if len(parts[c]) < pieces else _finish_chain(sampler_config, run)
+                    del result, run  # else a serial round holds them while the next chain runs
     if failed:
         raise failed[min(failed)]
     return ChainSet(

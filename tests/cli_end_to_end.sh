@@ -17,9 +17,10 @@
 # a campaign count past int64 and a draws file whose meta line claims 10^12
 # iterations each exit 1 with one error line naming the file and no
 # traceback; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
-# one error line, no traceback and no output directory; a pooled fit writes
-# the serial fit's draws and report byte for byte.  Exits non-zero at the
-# first failure.
+# one error line, no traceback and no output directory; a fit at --max-bugs
+# 10^12, past any machine's memory, exits 1 with one error line that says so,
+# no traceback and no output directory; a pooled fit writes the serial fit's
+# draws and report byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -136,6 +137,22 @@ for command in "fit campaign.csv --iters 20 --nu 1_5" "simulate --t-max 99999999
     exit 1
   fi
 done
+
+# a candidate list no machine can hold (7.28 TiB of sizes alone) is refused
+# before any chain starts, from the fit's memory estimate
+code=0
+"${bugsize[@]}" fit "$out/campaign.csv" --max-bugs 1000000000000 --out "$out/huge" \
+  2> "$out/huge.txt" > /dev/null || code=$?
+refusal='^bugsize: error: a fit of max_bugs=1000000000000 with 3 chains needs at least '
+refusal+='[0-9,]+ bytes for its chain states and kept draws, more than the [0-9,]+ bytes '
+refusal+='of physical memory$'
+if [ "$code" -ne 1 ] || [ "$(wc -l < "$out/huge.txt")" -ne 1 ] \
+    || ! grep -Eq "$refusal" "$out/huge.txt" \
+    || grep -q Traceback "$out/huge.txt" || [ -e "$out/huge" ]; then
+  echo "fit --max-bugs 1000000000000 exited $code with:" >&2
+  cat "$out/huge.txt" >&2
+  exit 1
+fi
 
 # 3 chains on 2 workers hand each chain between workers; 4 on 2 run whole chains
 for chains in 3 4; do

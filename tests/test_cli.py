@@ -231,7 +231,8 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["campaign-grouped-test-cases", "campaign-huge-detections",
-                                  "epsilon-inf", "epsilon-grouped"])
+                                  "epsilon-inf", "epsilon-grouped", "epsilon-empty-inner",
+                                  "epsilon-empty-last"])
 def test_malformed_numbers_exit_one_with_one_error_line(tmp_path, capsys, case):
     campaign = small_campaign_file(tmp_path)
     lines = campaign.read_text().splitlines()
@@ -246,8 +247,9 @@ def test_malformed_numbers_exit_one_with_one_error_line(tmp_path, capsys, case):
         argv, names = ["fit", str(campaign)], f"{campaign}:2: counts must be integers"
     else:
         _, fitted = run_fit(tmp_path, campaign)
-        grid = {"epsilon-inf": "10,inf", "epsilon-grouped": "1_0"}[case]
-        token = grid.split(",")[-1]
+        grid = {"epsilon-inf": "10,inf", "epsilon-grouped": "1_0",
+                "epsilon-empty-inner": "100,,200", "epsilon-empty-last": "100,"}[case]
+        token = "" if "empty" in case else grid.split(",")[-1]
         argv = ["reliability", str(fitted / "draws.csv"), "--epsilon", grid]
         names = f"--epsilon: threshold {token!r} must be a number"
     out = tmp_path / "never"

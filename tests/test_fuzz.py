@@ -3,9 +3,9 @@
 Mutants of one valid input each go through ``cli.main`` in-process, so no
 process starts: ``fit`` reads the campaign mutants, ``reliability`` and
 ``diagnose`` the draws mutants, and ``reliability`` the ``--epsilon``
-mutants.  Every call must return 0 or 1 without raising, and a 1 must leave
-``bugsize: error:`` as the last line on stderr, naming the mutated file for
-a campaign or draws mutant.
+mutants.  Every call must return 0 or 1 without raising, within
+``CALL_SECONDS``, and a 1 must leave ``bugsize: error:`` as the last line on
+stderr, naming the mutated file for a campaign or draws mutant.
 
 Each input gets every bad value in every field of its leading lines (a
 campaign's header and first row; a draws file's meta line, first chain line,
@@ -13,6 +13,8 @@ header and first row), then ``MUTANTS`` mutants drawn from a seeded
 generator: a line dropped, duplicated or swapped, the text cut short, a
 random field of a random line made bad, or the first line changed.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +33,10 @@ M2,2,2,0
 M2,3,4,1
 """
 FIT = ["--iters", "20", "--threads", "1", "--max-bugs", "30"]
+# The most one call may take, so that no input makes a command hang: about 250
+# times the slowest of the 442 calls this file makes, over three runs on a
+# 2-core VM (8.2 ms, a reliability call; fit calls took at most 7.0 ms)
+CALL_SECONDS = 2.0
 
 
 def field_count(line: str) -> int:
@@ -79,12 +85,15 @@ def mutants(text: str, lead: list[int], rng: np.random.Generator):
 
 
 def check(capsys, argv, path=None):
-    """Run one command in-process; it must exit 0 or 1, a 1 with one error as its last
-    line, which names ``path`` if one is given."""
+    """Run one command in-process; it must exit 0 or 1 within ``CALL_SECONDS``, a 1 with
+    one error as its last line, which names ``path`` if one is given."""
     capsys.readouterr()
+    began = time.perf_counter()
     code = main(argv)
+    elapsed = time.perf_counter() - began
     err = capsys.readouterr().err.splitlines()
     assert code in (0, 1), (argv, code, err)
+    assert elapsed < CALL_SECONDS, (argv, elapsed)
     if code == 1:
         assert err and err[-1].startswith("bugsize: error: "), (argv, err)
         assert path is None or str(path) in err[-1], (argv, err)

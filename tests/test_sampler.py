@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -489,21 +490,14 @@ def test_run_chain_zero_detections_matches_enumeration():
 
 
 def test_run_chain_rejects_low_ceiling_and_empty_campaign():
+    # run_all checks the campaign once; a chain reads only n and t_max
     config = ModelConfig(max_bugs=1)
     with pytest.raises(ValueError, match="ceiling"):
-        sampler._start_chain(
-            TestCampaign(test_cases=[[5]], bugs_detected=[[3]]),
-            config,
-            SamplerConfig(iterations=10),
-            np.random.default_rng(0),
-        )
+        run_all(TestCampaign(test_cases=[[5]], bugs_detected=[[3]]), config,
+                SamplerConfig(iterations=10))
     with pytest.raises(ValueError, match="testing effort"):
-        sampler._start_chain(
-            TestCampaign(test_cases=[[0]], bugs_detected=[[0]]),
-            config,
-            SamplerConfig(iterations=10),
-            np.random.default_rng(0),
-        )
+        run_all(TestCampaign(test_cases=[[0]], bugs_detected=[[0]]), config,
+                SamplerConfig(iterations=10))
 
 
 # ---------------------------------------------------------------- run_all
@@ -594,11 +588,48 @@ def test_run_all_pool_raises_the_serial_input_error():
 
 def test_run_chain_rejects_repeated_track_before_sampling(monkeypatch):
     # a repeated index would record one column name twice
-    monkeypatch.setattr(sampler, "_initial_state", None)  # sampling would call it
+    monkeypatch.setattr(sampler, "_start_chain", None)  # sampling would call it
     with pytest.raises(ValueError, match=r"tracked candidate indices repeat: \(0, 3, 0\)"):
-        sampler._start_chain(single_cell_campaign(), ModelConfig(max_bugs=6),
-                             SamplerConfig(iterations=10, track=(0, 3, 0)),
-                             np.random.default_rng(0))
+        run_all(single_cell_campaign(), ModelConfig(max_bugs=6),
+                SamplerConfig(iterations=10, track=(0, 3, 0)))
+
+
+@pytest.mark.parametrize("case", ["low-ceiling", "repeated-track"])
+def test_run_all_refuses_bad_input_before_the_pool_starts(monkeypatch, case):
+    def no_pool(workers):
+        raise AssertionError("run_all entered _round_map")
+
+    monkeypatch.setattr(sampler, "_round_map", no_pool)
+    if case == "low-ceiling":
+        camp = TestCampaign(test_cases=[[5]], bugs_detected=[[4]])
+        config, track = ModelConfig(max_bugs=2), ()
+        message = "candidate ceiling 2 below detected count 4"
+    else:
+        camp, config, track = single_cell_campaign(), ModelConfig(max_bugs=6), (0, 3, 0)
+        message = "tracked candidate indices repeat: (0, 3, 0)"
+    with pytest.raises(ValueError) as err:
+        run_all(camp, config, SamplerConfig(chains=2, iterations=10, track=track, workers=2))
+    assert str(err.value) == message
+
+
+def test_run_all_refuses_a_fit_past_physical_memory(monkeypatch):
+    # 2 workers each sweep 10**6 candidates; 3 chains keep 3 rows of 50 draws
+    need = 2 * sampler._SWEEP_BYTES_PER_CANDIDATE * 10**6 + 8 * 3 * 3 * 50
+    monkeypatch.setattr(sampler, "_round_map", None)  # sampling would enter it
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: need - 1)
+    scfg = SamplerConfig(chains=3, iterations=100, burn_in=50, workers=2)
+    with pytest.raises(ValueError) as err:
+        run_all(single_cell_campaign(), ModelConfig(max_bugs=10**6), scfg)
+    assert str(err.value) == (
+        f"a fit of max_bugs=1000000 with 3 chains needs at least {need:,} bytes for its chain "
+        f"states and kept draws, more than the {need - 1:,} bytes of physical memory")
+    # the estimate is a floor: a fit that needs exactly the memory there is runs
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: need)
+    sampler._check_memory(ModelConfig(max_bugs=10**6), scfg)
+    # a tracked candidate adds its three rows to the kept draws
+    tracked = replace(scfg, track=(0,))
+    with pytest.raises(ValueError, match="needs at least"):
+        sampler._check_memory(ModelConfig(max_bugs=10**6), tracked)
 
 
 # workers see a monkeypatched advance only when forked from this process
@@ -615,7 +646,7 @@ def chain_of(rng):
 @needs_fork
 def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
     # serial and pooled segments both sweep through run_chain
-    def broken_advance(campaign, model_config, sampler_config, run, stop):
+    def broken_advance(n, t_max, model_config, sampler_config, run, stop):
         chain_index = chain_of(run.rng)
         if chain_index == 0:
             time.sleep(0.3)  # chain 1 fails first
@@ -632,7 +663,7 @@ def test_run_all_pool_names_the_first_failed_chain_in_order(monkeypatch):
 
 @needs_fork
 def test_run_all_pool_drops_queued_chains_after_a_failure(monkeypatch, tmp_path):
-    def advance_or_fail(campaign, model_config, sampler_config, run, stop):
+    def advance_or_fail(n, t_max, model_config, sampler_config, run, stop):
         chain_index = chain_of(run.rng)
         (tmp_path / f"started-{chain_index}").touch()
         if chain_index == 0:
@@ -656,11 +687,11 @@ def test_run_all_pool_names_a_lower_chain_that_fails_in_a_later_segment(monkeypa
     # its first, chain 1 only in its last, which runs after chain 2 has failed
     advance = sampler.run_chain
 
-    def late_advance(campaign, model_config, sampler_config, run, stop):
+    def late_advance(n, t_max, model_config, sampler_config, run, stop):
         chain_index = chain_of(run.rng)
         if chain_index == 2 or (chain_index == 1 and stop == sampler_config.iterations):
             raise ArithmeticError(f"broke in chain {chain_index} before sweep {stop}")
-        return advance(campaign, model_config, sampler_config, run, stop)
+        return advance(n, t_max, model_config, sampler_config, run, stop)
 
     monkeypatch.setattr(sampler, "run_chain", late_advance)
     for workers in (1, 2):
@@ -678,18 +709,34 @@ SCHEDULE_MODEL = ModelConfig(max_bugs=9, mean_size_shape=2.0, mean_size_rate=1.0
 
 def test_advance_in_pieces_matches_run_chain():
     scfg = SamplerConfig(iterations=40, burn_in=9, thin=3, seed=8, track=(0, 4, 8))
-    whole = sampler._start_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg,
-                                 np.random.default_rng(81))
-    table, whole = sampler.run_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, whole, 40)
-    run = sampler._start_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
+    n, t_max = SCHEDULE_CAMPAIGN.detected_total, SCHEDULE_CAMPAIGN.t_max
+    whole = sampler._start_chain(n, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
+    table, whole = sampler.run_chain(n, t_max, SCHEDULE_MODEL, scfg, whole, 40)
+    run = sampler._start_chain(n, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
     parts = []
     # pieces that end before, at and inside the burn-in, and an empty one
     for stop in (4, 9, 9, 23, 40):
-        part, run = sampler.run_chain(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg, run, stop)
+        part, run = sampler.run_chain(n, t_max, SCHEDULE_MODEL, scfg, run, stop)
         parts.append(part)
     assert [p.shape[1] for p in parts] == [0, 0, 0, 5, 6]
     assert np.concatenate(parts, axis=1).tobytes() == table.tobytes()
     assert sampler._finish_chain(scfg, run) == sampler._finish_chain(scfg, whole)
+
+
+def test_serial_run_all_drops_a_finished_chain_before_the_next_starts(monkeypatch):
+    # a serial fit holds one chain's state at a time, as its memory estimate assumes
+    advance = sampler.run_chain
+    states = []
+
+    def watched_advance(n, t_max, model_config, sampler_config, run, stop):
+        assert all(state() is None for state in states), "a finished chain's state is held"
+        table, run = advance(n, t_max, model_config, sampler_config, run, stop)
+        states.append(weakref.ref(run.state))
+        return table, run
+
+    monkeypatch.setattr(sampler, "run_chain", watched_advance)
+    run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, SamplerConfig(chains=3, iterations=20))
+    assert len(states) == 3
 
 
 @pytest.mark.parametrize(
@@ -733,10 +780,10 @@ def test_run_all_pool_runs_each_chain_in_order_on_at_most_workers(
     advance = sampler.run_chain
     pause = 0.3
 
-    def recorded_advance(campaign, model_config, sampler_config, run, stop):
+    def recorded_advance(n, t_max, model_config, sampler_config, run, stop):
         began = time.monotonic()
         time.sleep(pause)
-        out = advance(campaign, model_config, sampler_config, run, stop)
+        out = advance(n, t_max, model_config, sampler_config, run, stop)
         (tmp_path / f"{chain_of(run.rng)}-{run.it}-{stop}").write_text(
             f"{began} {time.monotonic()}")
         return out
@@ -855,13 +902,13 @@ def test_chains_settle_well_within_the_default_burn_in(name):
     scfg = SamplerConfig(chains=1, iterations=sweeps, burn_in=0)
     for start in ("dispersed", "all-included", "all-excluded"):
         for seed in range(3):
-            run = sampler._start_chain(campaign, config, scfg, np.random.default_rng(seed))
+            run = sampler._start_chain(n, config, scfg, np.random.default_rng(seed))
             if start == "all-included":
                 run.state.include[:] = True
                 run.state.inclusion_prob = (m + 1) / (m + 2)
             elif start == "all-excluded":
                 run.state.include[n:] = False
                 run.state.inclusion_prob = 1 / (m + 2)
-            table, _ = sampler.run_chain(campaign, config, scfg, run, sweeps)
+            table, _ = sampler.run_chain(n, campaign.t_max, config, scfg, run, sweeps)
             totals = table[1]
             assert np.any((low <= totals) & (totals <= high)), (start, seed, low, high, totals)
