@@ -12,10 +12,10 @@ import argparse
 import gc
 import math
 import os
-import re
 import sys
 from collections import Counter
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _out_dir(args) -> Path:
-    """``--out``, else $BUGSIZE_OUT_DIR, else the current directory; created if missing."""
+def _out_dir(args) -> tuple[Path, list[Path]]:
+    """``--out``, else $BUGSIZE_OUT_DIR, else the current directory, created if missing;
+    and the directories that creating it made, deepest first."""
     out = Path(args.out if args.out is not None else os.environ.get("BUGSIZE_OUT_DIR", "."))
+    made = list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out, made
 
 
 def _number(kind, name: str, *, seed: bool = False):
@@ -93,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--burn-in", type=_INT, default=SamplerConfig.burn_in,
                      help="sweeps each chain discards before keeping draws (default: "
                           f"half of --iters, at most {DEFAULT_BURN_IN_CAP})")
-    fit.add_argument("--thin", type=_INT, default=SamplerConfig.thin)
     fit.add_argument("--threads", type=_INT, default=None,
                      help="max worker processes, which share the chains in sweep "
                           "segments (default: one per chain; never more than the usable "
@@ -130,7 +131,7 @@ def cmd_simulate(args) -> int:
     campaign, truth = simulate.generate_campaign(
         config, args.missions, args.phases, args.true_bugs, (args.t_min, args.t_max), rng
     )
-    out = _out_dir(args)
+    out, _ = _out_dir(args)
     dataio.write_campaign(campaign, out / "campaign.csv")
     truth_doc = {
         "format": dataio.TRUTH_FORMAT,
@@ -180,7 +181,6 @@ def cmd_fit(args) -> int:
         chains=args.chains,
         iterations=args.iters,
         burn_in=args.burn_in,
-        thin=args.thin,
         seed=args.seed,
         workers=_fit_workers(args.threads, args.chains),
     )
@@ -189,8 +189,16 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.campaign}: {exc}") from None
     _check_memory(model_config, sampler_config)
-    out = _out_dir(args)
-    chainset = run_all(campaign, model_config, sampler_config)
+    out, made = _out_dir(args)
+    try:
+        chainset = run_all(campaign, model_config, sampler_config)
+    except BaseException:
+        for directory in made:  # a failed fit leaves no empty directory behind
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     report = diagnostics.summarize(chainset)
     dataio.write_draws(chainset, out / "draws.csv")
     doc = dataio.build_report(report, chainset, model_config)
@@ -243,7 +251,7 @@ def cmd_reliability(args) -> int:
         curve = reliability.reliability_curve(chainset, _parse_epsilons(args.epsilon))
     except KeyError as exc:  # the file does not record remaining_size
         raise KeyError(f"{args.draws}: {exc.args[0]}") from None
-    out = _out_dir(args)
+    out, _ = _out_dir(args)
     dataio.write_reliability_curve(curve, out / "reliability.csv")
     print("epsilon  reliability")
     for epsilon, probability in curve:
@@ -254,14 +262,9 @@ def cmd_reliability(args) -> int:
 
 def _trace_files(names: list[str], draws) -> dict[str, str]:
     """Each parameter's trace file, ``trace_<name>.csv`` with ``[`` mapped to ``_`` and
-    ``]`` dropped; refuses a name that maps to anything but letters, digits and ``_``,
-    and names that map to one file, before any is written."""
+    ``]`` dropped (``ChainSet`` holds names of letters, digits, ``_``, ``[`` and ``]``
+    only); refuses names that map to one file, before any is written."""
     files = {name: f"trace_{name.replace('[', '_').replace(']', '')}.csv" for name in names}
-    unsafe = [name for name, file in files.items()
-              if not re.fullmatch(r"trace_[A-Za-z0-9_]+\.csv", file)]
-    if unsafe:
-        raise ValueError(f"{draws}: parameter names {', '.join(map(repr, unsafe))} do not "
-                         "map to trace file names of letters, digits and '_'")
     uses = Counter(files.values())
     clashing = [name for name, file in files.items() if uses[file] > 1]
     if clashing:
@@ -279,7 +282,7 @@ def cmd_diagnose(args) -> int:
                          f"the file holds {chainset.kept_per_chain}")
     trace_files = _trace_files(chainset.names, args.draws)
     report = diagnostics.summarize(chainset)
-    out = _out_dir(args)
+    out, _ = _out_dir(args)
     print(f"{'parameter':<18} {'R-hat':>8} {'upper':>8} {'ESS':>12}")
     for name, summary in report.items():
         print(f"{name:<18} {summary.rhat:8.4f} {summary.rhat_upper:8.4f} {summary.ess:12.2f}")

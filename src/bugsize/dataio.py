@@ -44,10 +44,12 @@ def read_campaign(path) -> TestCampaign:
     phases are sorted numerically.  Every mission must cover the same phase
     set, counts must be non-negative, and duplicate cells are rejected.
     Owns the campaign's rules; its numbers follow :func:`_parse_token`'s.
+    A UTF-8 byte-order mark before the header, as spreadsheets write one, is
+    skipped.
     """
     import csv  # loaded by the commands that read a campaign only
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: no rows")

@@ -276,7 +276,6 @@ def effective_sample_size(chains) -> float:
 class ParameterSummary:
     """Per-chain and pooled posterior summary of one tracked parameter."""
 
-    name: str
     chain_means: tuple[float, ...]
     chain_sds: tuple[float, ...]
     chain_cvs: tuple[float, ...]
@@ -367,7 +366,6 @@ def summarize(chainset: ChainSet) -> dict[str, ParameterSummary]:
         else:
             rhat = upper = ess = float("nan")
         summaries[name] = ParameterSummary(
-            name=name,
             chain_means=tuple(float(v) for v in chain_means),
             chain_sds=tuple(float(v) for v in chain_sds),
             chain_cvs=cvs,

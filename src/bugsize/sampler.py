@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -90,7 +91,6 @@ class SamplerConfig:
     iterations: int = 50_000
     burn_in: int | None = None
     seed: int = 0
-    thin: int = 1
     track: tuple[int, ...] = ()
     use_likelihood: bool = True
     fixed_mean_size: float | None = None
@@ -101,8 +101,6 @@ class SamplerConfig:
             raise ValueError("need at least one chain")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.iterations:
@@ -127,7 +125,9 @@ class ChainSet:
     iteration ``kept_iterations[k]``: a float array of shape (chains,
     parameters, kept), in the order the draws file lists it.  A chain's id
     is its position, and ``acceptance[c]`` holds chain ``c``'s acceptance
-    rates.
+    rates.  ``thin`` is 1 except in a v1 file that an earlier ``fit --thin`` wrote.
+    A name is one or more ASCII letters, digits, ``_``, ``[`` or ``]``, so
+    it fits a draws row and a trace file name.
     """
 
     names: list[str]
@@ -146,6 +146,10 @@ class ChainSet:
         if len(set(self.names)) != len(self.names):
             repeat = next(name for i, name in enumerate(self.names) if name in self.names[:i])
             raise ValueError(f"parameter {repeat!r} repeats")
+        bad = [name for name in self.names if not re.fullmatch(r"[A-Za-z0-9_\[\]]+", name)]
+        if bad:
+            raise ValueError(f"parameter name {bad[0]!r} must be one or more ASCII letters, "
+                             "digits, '_', '[' or ']'")
 
     @property
     def n_chains(self) -> int:
@@ -329,9 +333,9 @@ def _check_memory(model_config: ModelConfig, sampler_config: SamplerConfig) -> N
     """
     chains = sampler_config.chains
     workers = min(sampler_config.workers, chains)
-    kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
+    kept = sampler_config.iterations - sampler_config.effective_burn_in
     need = (workers * _SWEEP_BYTES_PER_CANDIDATE * model_config.max_bugs
-            + 8 * chains * len(_draw_names(sampler_config.track)) * len(kept))
+            + 8 * chains * len(_draw_names(sampler_config.track)) * kept)
     have = _physical_memory()
     if need > have:
         raise ValueError(f"a fit of max_bugs={model_config.max_bugs} with {chains} chains "
@@ -389,17 +393,14 @@ def run_chain(
     Always records the inclusion probability, the included-bug count and the
     remaining (included-but-undetected) total size, plus inclusion, size and
     size-mean trajectories for the tracked candidates, if any: one table row
-    per ``_draw_names(track)`` entry, one column per kept iteration.  The
-    acceptance sums carry on from ``run``, added to in sweep order, so a
-    chain advanced in consecutive pieces ends with the same floats as one
-    advanced in a single piece.  perfbench's trace times sweeps by this name.
+    per ``_draw_names(track)`` entry, one column per sweep from the burn-in
+    on.  The acceptance sums carry on from ``run``, added to in sweep order,
+    so a chain advanced in consecutive pieces ends with the same floats as
+    one advanced in a single piece.  perfbench's trace times sweeps by this name.
     """
     m = model_config.max_bugs
     track = np.array(sampler_config.track, dtype=np.intp)
-    kept = range(sampler_config.effective_burn_in, sampler_config.iterations, sampler_config.thin)
-    # the first len(range(kept.start, x, kept.step)) kept iterations are those below x
-    first, end = (len(range(kept.start, x, kept.step)) for x in (run.it, stop))
-    here = kept[first:end]
+    here = range(max(run.it, sampler_config.effective_burn_in), stop)
     use_likelihood = sampler_config.use_likelihood
     update_means = sampler_config.fixed_mean_size is None
 
@@ -415,7 +416,7 @@ def run_chain(
         if update_means:
             accept_mean += update_mean_sizes(state, model_config, rng)
         if it in here:
-            col = here.index(it)
+            col = it - here.start
             table[0, col] = state.inclusion_prob
             table[1, col] = state.total_bugs
             table[2, col] = np.dot(state.size[n:], state.include[n:])
@@ -540,5 +541,5 @@ def run_all(
         names=_draw_names(sampler_config.track),
         draws=np.stack([np.concatenate(p, axis=1) for p in parts]), acceptance=runs,
         base_seed=sampler_config.seed, iterations=sampler_config.iterations,
-        burn_in=sampler_config.effective_burn_in, thin=sampler_config.thin,
+        burn_in=sampler_config.effective_burn_in, thin=1,
     )

@@ -13,7 +13,8 @@
 # diagnose import neither json nor csv, and diagnose and fit import no
 # bugsize.reliability; a fit at --nu 1000 (certain detection)
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
-# exits 1 with an error that names it, the same stderr at --threads 1 and 2;
+# exits 1 with an error that names it, the same stderr at --threads 1 and 2,
+# and leaves no output directory;
 # a campaign count past int64 and a draws file whose meta line claims 10^12
 # iterations each exit 1 with one error line naming the file and no
 # traceback; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
@@ -94,7 +95,8 @@ if grep RuntimeWarning "$out/nu.txt"; then
   exit 1
 fi
 # numpy cannot draw negative-binomial sizes at this dispersion; the error says
-# which value, and a serial and a pooled fit print the same error
+# which value, a serial and a pooled fit print the same error, and neither
+# leaves the --out it made
 for threads in 1 2; do
   code=0
   "${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --max-bugs 80 --dispersion 1e-40 \
@@ -102,6 +104,7 @@ for threads in 1 2; do
     > /dev/null || code=$?
   test "$code" -eq 1
   grep -q '^bugsize: error: dispersion 1e-40 ' "$out/dispersion-$threads.txt"
+  test ! -e "$out/dispersion"
 done
 cmp "$out/dispersion-1.txt" "$out/dispersion-2.txt"
 

@@ -201,7 +201,7 @@ def short_fit(tmp_path, campaign_path):
 
 
 @pytest.mark.parametrize("case", ["fit-missing-file", "fit-threads-0", "fit-low-ceiling",
-                                  "fit-no-effort", "diagnose-short-chains",
+                                  "fit-no-effort", "fit-dispersion", "diagnose-short-chains",
                                   "reliability-missing-param", "simulate-empty-grid"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     campaign = small_campaign_file(tmp_path)
@@ -216,6 +216,9 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
         # the sampler's own input checks run before --out is made
         "fit-low-ceiling": lambda: ["fit", str(campaign), "--max-bugs", "4"],
         "fit-no-effort": lambda: ["fit", str(campaign)],
+        # a chain fails after --out is made, so the fit removes it again
+        "fit-dispersion": lambda: ["fit", str(campaign), "--iters", "20",
+                                   "--dispersion", "1e-40"],
         "diagnose-short-chains": lambda: ["diagnose", str(short_fit(tmp_path, campaign))],
         "reliability-missing-param": lambda: ["reliability", str(partial), "--epsilon", "10"],
         "simulate-empty-grid": lambda: ["simulate", "--missions", "0"],
@@ -226,7 +229,7 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("bugsize: error: ")
     # a data error names the file it read
-    assert case in ("fit-threads-0", "simulate-empty-grid") or argv[1] in err
+    assert case in ("fit-threads-0", "fit-dispersion", "simulate-empty-grid") or argv[1] in err
     assert not out.exists()
 
 
@@ -272,8 +275,8 @@ def test_fit_names_a_detected_count_past_int64(tmp_path, capsys):
 def test_fit_run_settings_default_to_sampler_config():
     args = cli._build_parser().parse_args(["fit", "x.csv"])
     config = SamplerConfig()
-    assert (args.chains, args.iters, args.burn_in, args.thin) == (
-        config.chains, config.iterations, config.burn_in, config.thin)
+    assert (args.chains, args.iters, args.burn_in) == (
+        config.chains, config.iterations, config.burn_in)
 
 
 def test_fit_threads_below_one_names_the_flag(tmp_path, capsys):
@@ -286,7 +289,7 @@ NUMERIC_FLAGS = {
     "simulate": ("--max-bugs", "--nu", "--dispersion", "--seed", "--missions", "--phases",
                  "--true-bugs", "--t-min", "--t-max"),
     "fit": ("--max-bugs", "--nu", "--dispersion", "--seed", "--chains", "--iters",
-            "--burn-in", "--thin", "--threads", "--rhat-warn"),
+            "--burn-in", "--threads", "--rhat-warn"),
 }
 
 
@@ -533,10 +536,10 @@ def test_diagnose_prints_and_exports(tmp_path, capsys):
     # a[1] maps to trace_a_1.csv, so one trace file would overwrite the other
     ({"total_bugs": "a[1]", "inclusion_prob": "a_1"},
      "parameter names 'a_1', 'a[1]' map to one trace file name"),
-    # a name that maps outside letters, digits and "_" could name any path
+    # a name of other characters could name any path; the reader refuses it
     ({"total_bugs": "../../escape"},
-     "parameter names '../../escape' do not map to trace file names of letters, "
-     "digits and '_'"),
+     "parameter name '../../escape' must be one or more ASCII letters, digits, '_', "
+     "'[' or ']'"),
 ], ids=["clashing", "unsafe"])
 def test_diagnose_refuses_trace_names_before_writing_any(tmp_path, capsys, renames, refused):
     code, fit = run_fit(tmp_path, small_campaign_file(tmp_path))

@@ -16,7 +16,7 @@ from bugsize.dataio import (
 from bugsize.cli import main
 from bugsize.diagnostics import summarize, trace_export
 from bugsize.model import ModelConfig, TestCampaign
-from bugsize.sampler import SamplerConfig, run_all
+from bugsize.sampler import ChainSet, SamplerConfig, run_all
 from helpers import make_chainset, same_campaign
 
 
@@ -58,6 +58,15 @@ def test_campaign_round_trip(tmp_path):
         path = tmp_path / "roundtrip.csv"
         write_campaign(campaign, path)
         assert same_campaign(read_campaign(path), campaign)
+
+
+def test_read_campaign_skips_a_byte_order_mark(tmp_path):
+    # spreadsheets write UTF-8 CSV with a byte-order mark before the header
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_campaign(TestCampaign(test_cases=[[8, 3], [6, 2]], bugs_detected=[[2, 0], [1, 1]]),
+                   plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert same_campaign(read_campaign(marked), read_campaign(plain))
 
 
 def test_read_campaign_errors(tmp_path):
@@ -162,13 +171,34 @@ def test_fitted_draws_file_rewrites_byte_for_byte(tmp_path):
     write_campaign(TestCampaign(test_cases=[[8, 3], [6, 2]], bugs_detected=[[2, 0], [1, 1]]),
                    campaign)
     assert main(["fit", str(campaign), "--chains", "2", "--iters", "60", "--burn-in", "20",
-                 "--thin", "3", "--seed", "17", "--max-bugs", "12",
-                 "--out", str(tmp_path)]) == 0
+                 "--seed", "17", "--max-bugs", "12", "--out", str(tmp_path)]) == 0
     fitted = tmp_path / "draws.csv"
     assert "# chain 1 seed=17:1 acceptance size=" in fitted.read_text()
     rewritten = tmp_path / "rewritten.csv"
     write_draws(read_draws(fitted), rewritten)
     assert rewritten.read_bytes() == fitted.read_bytes()
+
+
+def test_thinned_draws_file_reads_rewrites_and_postprocesses(tmp_path):
+    # fit keeps every sweep, but a v1 file may keep every thin-th one from its burn-in on
+    rng = np.random.default_rng(29)
+    chainset = ChainSet(names=["inclusion_prob", "total_bugs", "remaining_size"],
+                        draws=rng.uniform(0.0, 50.0, size=(3, 3, 5)),
+                        acceptance=[{"size": 0.5, "mean_size": 0.25}] * 3,
+                        base_seed=4, iterations=20, burn_in=5, thin=3)
+    path, rewritten = tmp_path / "draws.csv", tmp_path / "rewritten.csv"
+    write_draws(chainset, path)
+    assert "\n# meta chains=3 iterations=20 burn_in=5 thin=3 base_seed=4\n" in path.read_text()
+    loaded = read_draws(path)
+    assert loaded.kept_iterations == range(5, 20, 3)
+    assert loaded.draws.tobytes() == chainset.draws.tobytes()
+    write_draws(loaded, rewritten)
+    assert rewritten.read_bytes() == path.read_bytes()
+    out = tmp_path / "out"
+    assert main(["reliability", str(path), "--epsilon", "10,40", "--out", str(out)]) == 0
+    assert main(["diagnose", str(path), "--out", str(out)]) == 0
+    trace = (out / "trace_total_bugs.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in trace[1:6]] == ["5", "8", "11", "14", "17"]
 
 
 def test_draws_round_trip_numpy_scalar_acceptance(tmp_path, small_chainset):

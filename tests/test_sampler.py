@@ -66,8 +66,6 @@ def test_sampler_config_defaults_and_validation():
         SamplerConfig(chains=0)
     with pytest.raises(ValueError):
         SamplerConfig(iterations=10, burn_in=10)
-    with pytest.raises(ValueError):
-        SamplerConfig(thin=0)
     # numpy seeds from any non-negative integer; a negative one fails by name here
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         SamplerConfig(seed=-1)
@@ -427,7 +425,7 @@ def test_run_chain_matches_reference_updates(monkeypatch):
     camp = TestCampaign(test_cases=[[40, 9, 70], [12, 55, 3]],
                         bugs_detected=[[4, 1, 2], [0, 3, 0]])
     config = ModelConfig(max_bugs=300)
-    scfg = SamplerConfig(chains=1, iterations=300, burn_in=100, thin=2, seed=36,
+    scfg = SamplerConfig(chains=1, iterations=300, burn_in=100, seed=36,
                          track=tuple(range(300)))
     chain = run_all(camp, config, scfg)
     got, (got_acceptance,) = chain.draws[0], chain.acceptance
@@ -437,7 +435,7 @@ def test_run_chain_matches_reference_updates(monkeypatch):
     monkeypatch.setattr(sampler, "update_mean_sizes", ref_update_mean_sizes)
     chain = run_all(camp, config, scfg)
     want, (want_acceptance,) = chain.draws[0], chain.acceptance
-    assert got.shape == (3 + 3 * 300, len(range(100, 300, 2)))
+    assert got.shape == (3 + 3 * 300, len(range(100, 300)))
     assert got.tobytes() == want.tobytes()
     assert got_acceptance == want_acceptance
     assert all(type(v) is float for v in got_acceptance.values())
@@ -519,11 +517,11 @@ def test_run_all_bookkeeping():
                              "size[0]", "size[1]", "size[2]", "size[3]",
                              "mean_size[0]", "mean_size[1]", "mean_size[2]", "mean_size[3]"]
     assert tracked.draws.shape == (1, 15, 5)
-    # the kept grid follows the run settings: thinned from an implied burn-in,
+    # the kept grid follows the run settings: every sweep from an implied burn-in,
     # capped because half of 2,000 sweeps exceeds the cap
-    thinned = run_all(camp, config, SamplerConfig(chains=2, iterations=2_000, thin=7, seed=1))
-    assert thinned.kept_per_chain == len(range(DEFAULT_BURN_IN_CAP, 2_000, 7))
-    assert thinned.draws.shape == (2, 3, thinned.kept_per_chain)
+    capped = run_all(camp, config, SamplerConfig(chains=2, iterations=2_000, seed=1))
+    assert capped.kept_per_chain == 2_000 - DEFAULT_BURN_IN_CAP
+    assert capped.draws.shape == (2, 3, capped.kept_per_chain)
 
 
 def test_chainset_rejects_draws_off_its_layout():
@@ -539,6 +537,18 @@ def test_chainset_rejects_draws_off_its_layout():
             ChainSet(names=["a", "b"], draws=np.zeros(shape), **settings)
     with pytest.raises(ValueError, match="parameter 'a' repeats"):
         ChainSet(names=["a", "a"], draws=np.zeros((2, 2, 4)), **settings)
+
+
+@pytest.mark.parametrize("name", ["a,b", "x\n", "", "../escape", "size 1", "\u00e9"])
+def test_chainset_refuses_names_a_draws_file_cannot_hold(name):
+    # a draws row is chain,iteration,parameter,value on one line, and a name
+    # maps to a trace file name; every recorded quantity's name passes
+    settings = dict(acceptance=[{}], base_seed=0, iterations=1, burn_in=0, thin=1)
+    names = sampler._draw_names((0, 12))
+    ChainSet(names=names, draws=np.zeros((1, len(names), 1)), **settings)
+    with pytest.raises(ValueError, match=r"^parameter name .* must be one or more ASCII "
+                                         r"letters, digits, '_', '\[' or '\]'$"):
+        ChainSet(names=["b", name], draws=np.zeros((1, 2, 1)), **settings)
 
 
 def test_run_all_reproducible_and_chains_differ():
@@ -708,7 +718,7 @@ SCHEDULE_MODEL = ModelConfig(max_bugs=9, mean_size_shape=2.0, mean_size_rate=1.0
 
 
 def test_advance_in_pieces_matches_run_chain():
-    scfg = SamplerConfig(iterations=40, burn_in=9, thin=3, seed=8, track=(0, 4, 8))
+    scfg = SamplerConfig(iterations=40, burn_in=9, seed=8, track=(0, 4, 8))
     n, t_max = SCHEDULE_CAMPAIGN.detected_total, SCHEDULE_CAMPAIGN.t_max
     whole = sampler._start_chain(n, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
     table, whole = sampler.run_chain(n, t_max, SCHEDULE_MODEL, scfg, whole, 40)
@@ -718,7 +728,7 @@ def test_advance_in_pieces_matches_run_chain():
     for stop in (4, 9, 9, 23, 40):
         part, run = sampler.run_chain(n, t_max, SCHEDULE_MODEL, scfg, run, stop)
         parts.append(part)
-    assert [p.shape[1] for p in parts] == [0, 0, 0, 5, 6]
+    assert [p.shape[1] for p in parts] == [0, 0, 0, 14, 17]
     assert np.concatenate(parts, axis=1).tobytes() == table.tobytes()
     assert sampler._finish_chain(scfg, run) == sampler._finish_chain(scfg, whole)
 
@@ -742,13 +752,13 @@ def test_serial_run_all_drops_a_finished_chain_before_the_next_starts(monkeypatc
 @pytest.mark.parametrize(
     "chains, workers, settings",
     [
-        (3, 2, dict(iterations=41, burn_in=25, thin=3, track=(0, 1, 7, 8))),
-        (4, 3, dict(iterations=50, burn_in=20, thin=4, fixed_mean_size=3.0, track=(0, 1, 7, 8))),
+        (3, 2, dict(iterations=41, burn_in=25, track=(0, 1, 7, 8))),
+        (4, 3, dict(iterations=50, burn_in=20, fixed_mean_size=3.0, track=(0, 1, 7, 8))),
         (5, 4, dict(iterations=3, burn_in=1, use_likelihood=False, track=(0, 1, 7, 8))),
-        (2, 2, dict(iterations=31, thin=2, track=tuple(range(9)))),
-        (4, 2, dict(iterations=30, burn_in=7, thin=2)),
+        (2, 2, dict(iterations=31, track=tuple(range(9)))),
+        (4, 2, dict(iterations=30, burn_in=7)),
     ],
-    ids=["3-on-2-thinned", "4-on-3-fixed-mean", "5-on-4-fewer-sweeps-than-workers",
+    ids=["3-on-2-handed-between-workers", "4-on-3-fixed-mean", "5-on-4-fewer-sweeps-than-workers",
          "2-on-2-default-burn-in", "4-on-2-whole-chains-default-track"],
 )
 def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
@@ -764,7 +774,7 @@ def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
 def test_default_track_records_the_scalar_rows_of_a_full_track_run(workers):
     # recording draws no random numbers and changes no state, so tracking
     # every candidate leaves the three posterior rows as they are
-    scfg = SamplerConfig(chains=3, iterations=60, burn_in=20, thin=2, seed=17, workers=workers)
+    scfg = SamplerConfig(chains=3, iterations=60, burn_in=20, seed=17, workers=workers)
     default = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg)
     full = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, replace(scfg, track=tuple(range(9))))
     assert default.names == full.names[:3] == ["inclusion_prob", "total_bugs", "remaining_size"]
