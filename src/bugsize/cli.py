@@ -35,6 +35,8 @@ __all__ = ["main", "entry"]
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONVERGENCE = 2
+# a split R-hat above this is a convergence warning, and exit 2 under fit --strict
+RHAT_WARN = 1.1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="max worker processes, which share the chains in sweep "
                           "segments (default: one per chain; never more than the usable "
                           "CPUs; 1 runs the chains serially)")
-    fit.add_argument("--rhat-warn", type=_FLOAT, default=1.1)
     fit.add_argument("--strict", action="store_true",
-                     help="treat a convergence warning as a soft failure (exit 2)")
+                     help="treat a convergence warning as a soft failure (exit 2): a "
+                          f"split R-hat above {RHAT_WARN} or one that cannot be computed")
     fit.set_defaults(func=cmd_fit)
 
     rel = sub.add_parser("reliability", help="reliability curve from a draws file")
@@ -228,9 +230,9 @@ def cmd_fit(args) -> int:
     if math.isnan(worst_rhat):
         warning = ("split R-hat could not be computed, so convergence was not checked; "
                    "it needs 2 chains of at least 4 kept draws each")
-    elif worst_rhat > args.rhat_warn:
+    elif worst_rhat > RHAT_WARN:
         warning = (f"split R-hat {worst_rhat:.4f} on {worst_name} exceeds "
-                   f"{args.rhat_warn}; consider more iterations")
+                   f"{RHAT_WARN}; consider more iterations")
     else:
         return EXIT_OK
     print(f"warning: {warning}", file=sys.stderr)
@@ -255,7 +257,7 @@ def cmd_reliability(args) -> int:
     dataio.write_reliability_curve(curve, out / "reliability.csv")
     print("epsilon  reliability")
     for epsilon, probability in curve:
-        print(f"{epsilon:7.1f}  {probability:.7f}")
+        print(f"{epsilon!r:>7}  {probability:.7f}")  # as reliability.csv writes it
     print(f"curve: {out / 'reliability.csv'}")
     return EXIT_OK
 

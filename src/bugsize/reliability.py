@@ -13,16 +13,7 @@ import numpy as np
 
 from .sampler import ChainSet
 
-__all__ = ["reliability_at", "chain_reliability", "reliability_curve"]
-
-
-def reliability_at(chainset: ChainSet, epsilon: float) -> float:
-    """Posterior probability that the remaining size is below ``epsilon``.
-
-    Pooled over chains; the inequality is strict, so ``epsilon = 0`` always
-    yields 0.
-    """
-    return reliability_curve(chainset, [epsilon])[0][1]
+__all__ = ["chain_reliability", "reliability_curve"]
 
 
 def chain_reliability(chainset: ChainSet, epsilon: float) -> list[float]:

@@ -8,8 +8,9 @@
 # Checks: a default fit records the three posterior quantities only; the
 # default burn-in is half of --iters, at most 200 sweeps; diagnose prints
 # report.json's R-hat, upper bound and ESS for every parameter; reliability
-# reads the fit; reliability, diagnose and fit --threads 1 import neither
-# numpy.ma nor concurrent.futures, nor bugsize.simulate; reliability and
+# reads the fit, and prints thresholds 0.01 and 0.04 as reliability.csv writes
+# them, so the two print apart; reliability, diagnose and fit --threads 1 import
+# neither numpy.ma nor concurrent.futures, nor bugsize.simulate; reliability and
 # diagnose import neither json nor csv, and diagnose and fit import no
 # bugsize.reliability; a fit at --nu 1000 (certain detection)
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
@@ -18,7 +19,9 @@
 # a campaign count past int64 and a draws file whose meta line claims 10^12
 # iterations each exit 1 with one error line naming the file and no
 # traceback; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
-# one error line, no traceback and no output directory; a fit at --max-bugs
+# one error line, no traceback and no output directory; fit --rhat-warn 1.1
+# exits 1 with one "unrecognized arguments" line, no traceback and no output
+# directory, since the R-hat threshold is fixed at 1.1; a fit at --max-bugs
 # 10^12, past any machine's memory, exits 1 with one error line that says so,
 # no traceback and no output directory; a pooled fit writes the serial fit's
 # draws and report byte for byte.  Exits non-zero at the first failure.
@@ -62,6 +65,13 @@ for name, p in params.items():
     assert all(agree(*check) for check in checks), f"{name}: {rows[name]} against {p}"
 EOF
 "${bugsize[@]}" reliability "$out/draws.csv" --epsilon 50,100,200 --out "$out"
+# the printed table shows each threshold as reliability.csv writes it
+printed=$("${bugsize[@]}" reliability "$out/draws.csv" --epsilon 0.01,0.04 --out "$out/small" \
+  | awk 'NR == 2 || NR == 3 {printf "%s ", $1}')
+if [ "$printed" != "0.01 0.04 " ]; then
+  echo "reliability --epsilon 0.01,0.04 printed thresholds $printed" >&2
+  exit 1
+fi
 
 # reading a fit, or fitting serially, loads neither numpy.ma nor the process
 # pool, and each command loads only the modules it runs: reliability and
@@ -140,6 +150,18 @@ for command in "fit campaign.csv --iters 20 --nu 1_5" "simulate --t-max 99999999
     exit 1
   fi
 done
+
+# fit's convergence threshold is fixed at 1.1: no flag sets it
+code=0
+"${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --rhat-warn 1.1 --out "$out/rhat" \
+  2> "$out/rhat.txt" > /dev/null || code=$?
+unrecognized='unrecognized arguments: --rhat-warn 1.1$'
+if [ "$code" -ne 1 ] || [ "$(grep -c "$unrecognized" "$out/rhat.txt")" -ne 1 ] \
+    || grep -q Traceback "$out/rhat.txt" || [ -e "$out/rhat" ]; then
+  echo "fit --rhat-warn 1.1 exited $code with:" >&2
+  cat "$out/rhat.txt" >&2
+  exit 1
+fi
 
 # a candidate list no machine can hold (7.28 TiB of sizes alone) is refused
 # before any chain starts, from the fit's memory estimate

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bugsize.model import ModelConfig, TestCampaign
-from bugsize.reliability import chain_reliability, reliability_at, reliability_curve
+from bugsize.reliability import chain_reliability, reliability_curve
 from bugsize.sampler import SamplerConfig, run_all
 from helpers import make_chainset
 
@@ -11,14 +11,13 @@ from helpers import make_chainset
 
 def test_reliability_at_zero_threshold():
     cs = make_chainset({"remaining_size": np.zeros((2, 50))})
-    assert reliability_at(cs, 0.0) == 0.0  # strict inequality at the boundary
+    assert reliability_curve(cs, [0.0]) == [(0.0, 0.0)]  # strict inequality at the boundary
 
 
 def test_reliability_at_counts_strictly_below():
     draws = np.array([[0.0, 50.0, 100.0, 150.0], [0.0, 100.0, 200.0, 10.0]])
     cs = make_chainset({"remaining_size": draws})
-    assert reliability_at(cs, 100.0) == 4 / 8
-    assert reliability_at(cs, 1000.0) == 1.0
+    assert reliability_curve(cs, [100.0, 1000.0]) == [(100.0, 4 / 8), (1000.0, 1.0)]
 
 
 def test_reliability_pooled_equals_weighted_chain_mean():
@@ -29,7 +28,7 @@ def test_reliability_pooled_equals_weighted_chain_mean():
     # the count-weighted mean of per-chain estimates, in exact integer form
     counts = [np.count_nonzero(c < 120.0) for c in draws]
     assert per_chain == [count / 400 for count in counts]
-    assert reliability_at(cs, 120.0) == sum(counts) / draws.size
+    assert reliability_curve(cs, [120.0])[0][1] == sum(counts) / draws.size
 
 
 def test_chain_reliability_of_a_fit_counts_each_chain():
@@ -61,14 +60,12 @@ def test_reliability_curve_single_point_and_errors():
         reliability_curve(cs, [100.0, 50.0])
     with pytest.raises(ValueError):
         reliability_curve(cs, [])
-    with pytest.raises(ValueError):
-        reliability_at(cs, -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        reliability_curve(cs, [-1.0])
 
 
 def test_reliability_rejects_nan_thresholds():
     cs = make_chainset({"remaining_size": np.ones((2, 10)) * 5.0})
-    with pytest.raises(ValueError, match="nan"):
-        reliability_at(cs, float("nan"))
     with pytest.raises(ValueError, match="nan"):
         chain_reliability(cs, float("nan"))
     # NaN compares false, so it would slip past the strictly-increasing check
@@ -80,4 +77,4 @@ def test_reliability_rejects_nan_thresholds():
 def test_reliability_requires_draws():
     cs = make_chainset({"remaining_size": np.ones((0, 10))})
     with pytest.raises(ValueError):
-        reliability_at(cs, 10.0)
+        reliability_curve(cs, [10.0])
