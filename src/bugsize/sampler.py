@@ -82,8 +82,6 @@ class SamplerConfig:
     ``inclusion_prob``, ``total_bugs`` and ``remaining_size``; ``track``
     names candidates whose inclusion, size and size-mean trajectories are
     recorded too (none by default; recording draws no random numbers).
-    ``use_likelihood=False`` drops every detection-likelihood term so the
-    sampler targets the bare prior (a testing hook), and
     ``fixed_mean_size`` freezes all size means at a constant.
     """
 
@@ -92,7 +90,6 @@ class SamplerConfig:
     burn_in: int | None = None
     seed: int = 0
     track: tuple[int, ...] = ()
-    use_likelihood: bool = True
     fixed_mean_size: float | None = None
     workers: int = 1
 
@@ -197,7 +194,6 @@ def update_inclusion(
     t_max: int,
     config: ModelConfig,
     rng: np.random.Generator,
-    use_likelihood: bool = True,
 ) -> AugmentedState:
     """Gibbs refresh of the inclusion flags of undetected candidates.
 
@@ -209,11 +205,8 @@ def update_inclusion(
     """
     psi = state.inclusion_prob
     n = state.n_detected
-    if use_likelihood:
-        weight = psi * _detection_kernel(config.size_exponent, t_max, "escape", state.size[n:])
-        q = weight / (weight + (1.0 - psi))
-    else:
-        q = psi
+    weight = psi * _detection_kernel(config.size_exponent, t_max, "escape", state.size[n:])
+    q = weight / (weight + (1.0 - psi))
     state.include[n:] = rng.random(state.max_bugs - n) < q
     return state
 
@@ -223,7 +216,6 @@ def update_sizes(
     t_max: int,
     config: ModelConfig,
     rng: np.random.Generator,
-    use_likelihood: bool = True,
 ) -> float:
     """One independence-proposal Metropolis-Hastings sweep over all sizes.
 
@@ -242,7 +234,7 @@ def update_sizes(
     # takes its proposal for certain: only included candidates are scored
     # (the detected ones, always included, are the first n of them)
     scored = np.flatnonzero(state.include)
-    if use_likelihood and scored.size:
+    if scored.size:
         n = state.n_detected
         kernel = partial(_detection_kernel, config.size_exponent, t_max)
         cur, new = state.size[scored], proposal[scored]
@@ -401,7 +393,6 @@ def run_chain(
     m = model_config.max_bugs
     track = np.array(sampler_config.track, dtype=np.intp)
     here = range(max(run.it, sampler_config.effective_burn_in), stop)
-    use_likelihood = sampler_config.use_likelihood
     update_means = sampler_config.fixed_mean_size is None
 
     table = np.empty((len(_draw_names(track)), len(here)))
@@ -410,9 +401,9 @@ def run_chain(
     accept_size = run.accept_size
     accept_mean = run.accept_mean
     for it in range(run.it, stop):
-        update_inclusion(state, t_max, model_config, rng, use_likelihood)
+        update_inclusion(state, t_max, model_config, rng)
         state.inclusion_prob = draw_inclusion_prob(state.total_bugs, m, rng)
-        accept_size += update_sizes(state, t_max, model_config, rng, use_likelihood)
+        accept_size += update_sizes(state, t_max, model_config, rng)
         if update_means:
             accept_mean += update_mean_sizes(state, model_config, rng)
         if it in here:

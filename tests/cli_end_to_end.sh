@@ -24,6 +24,8 @@
 # directory, since the R-hat threshold is fixed at 1.1; a fit at --max-bugs
 # 10^12, past any machine's memory, exits 1 with one error line that says so,
 # no traceback and no output directory; a pooled fit writes the serial fit's
+# draws and report byte for byte; two campaigns of different grids with the
+# same detected count n and largest test-case count t_max fit to the same
 # draws and report byte for byte.  Exits non-zero at the first failure.
 set -euo pipefail
 
@@ -188,3 +190,14 @@ for chains in 3 4; do
   cmp "$out/chains-$chains-threads-1/draws.csv" "$out/chains-$chains-threads-2/draws.csv"
   cmp "$out/chains-$chains-threads-1/report.json" "$out/chains-$chains-threads-2/report.json"
 done
+
+# the campaign reaches the fit only as its detected count n = 4 and t_max = 6
+header='mission,phase,test_cases,bugs_detected'
+printf '%s\n' "$header" A,1,6,2 A,2,3,0 B,1,4,1 B,2,2,1 > "$out/grid-2x2.csv"
+printf '%s\n' "$header" X,1,1,0 X,2,6,0 X,3,0,0 Y,1,5,4 Y,2,2,0 Y,3,1,0 > "$out/grid-2x3.csv"
+for grid in 2x2 2x3; do
+  "${bugsize[@]}" fit "$out/grid-$grid.csv" --iters 20 --max-bugs 30 --seed 3 --threads 1 \
+    --out "$out/grid-$grid" > /dev/null
+done
+cmp "$out/grid-2x2/draws.csv" "$out/grid-2x3/draws.csv"
+cmp "$out/grid-2x2/report.json" "$out/grid-2x3/report.json"

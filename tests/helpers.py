@@ -1,8 +1,11 @@
 """Shared fixtures-in-spirit: hand-built chain sets and reference processes."""
 
+import contextlib
+
 import numpy as np
 from scipy import signal
 
+from bugsize import sampler
 from bugsize.model import _detection_rate
 from bugsize.sampler import ChainSet
 
@@ -46,3 +49,26 @@ def detection_loglik(size, include, detected, exponent, t_max):
     with np.errstate(divide="ignore"):
         log_alpha = np.log(-np.expm1(-x))
     return np.where(detected, log_alpha, np.where(include, -x, 0.0))
+
+
+# the flat kernel's value at every size: no rate, certain escape, log(alpha) of 0
+_FLAT_KERNEL = {"rate": 0.0, "escape": 1.0, "log_alpha": 0.0}
+
+
+@contextlib.contextmanager
+def flat_likelihood():
+    """Swap the sampler's detection kernel for a flat one while the block runs.
+
+    Every likelihood term reaches the sweep through ``sampler._detection_kernel``,
+    so with this kernel a fit targets the bare prior: each size log-ratio is 0,
+    which ``log(u)`` for u in [0, 1) always beats, and the inclusion chance
+    ``psi / (psi + (1 - psi))`` rounds to ``psi`` itself.  A forked pool's
+    workers inherit the swap.
+    """
+    kernel = sampler._detection_kernel
+    sampler._detection_kernel = (
+        lambda exponent, t_max, column, size: np.full(np.shape(size), _FLAT_KERNEL[column]))
+    try:
+        yield
+    finally:
+        sampler._detection_kernel = kernel

@@ -20,7 +20,7 @@ from bugsize.model import ModelConfig, TestCampaign, nb_log_pmf
 from bugsize.reliability import reliability_curve
 from bugsize.sampler import SamplerConfig, draw_inclusion_prob, run_all
 from bugsize.simulate import generate_campaign
-from helpers import ar1
+from helpers import ar1, flat_likelihood
 
 
 @contextlib.contextmanager
@@ -123,25 +123,27 @@ def test_criterion_4_prior_recovery():
         campaign = TestCampaign(test_cases=[[5]], bugs_detected=[[1]])
         config = ModelConfig(max_bugs=25)
 
-        # likelihood disabled: pooled mean-size marginal is its gamma prior
-        free = run_all(
-            campaign, config,
-            SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=3,
-                          use_likelihood=False, track=tuple(range(25))),
-        )
+        # a flat detection kernel leaves the bare prior: the pooled mean-size
+        # marginal is its gamma prior
+        with flat_likelihood():
+            free = run_all(
+                campaign, config,
+                SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=3,
+                              track=tuple(range(25))),
+            )
         lam_draws = np.concatenate(
             [free.pooled(f"mean_size[{i}]") for i in range(25)]
         )
         assert lam_draws.size >= 50_000
         assert abs(lam_draws.mean() - 100.0) <= 2.0
 
-        # likelihood disabled at a fixed mean: sizes match their prior pmf
-        fixed = run_all(
-            campaign, config,
-            SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=5,
-                          use_likelihood=False, fixed_mean_size=5.0,
-                          track=tuple(range(25))),
-        )
+        # a flat kernel at a fixed mean: sizes match their prior pmf
+        with flat_likelihood():
+            fixed = run_all(
+                campaign, config,
+                SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=5,
+                              fixed_mean_size=5.0, track=tuple(range(25))),
+            )
         s_draws = np.concatenate(
             [fixed.pooled(f"size[{i}]") for i in range(25)]
         ).astype(int)

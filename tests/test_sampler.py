@@ -1,8 +1,9 @@
+import contextlib
 import math
 import multiprocessing
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from bugsize.sampler import (
     update_sizes,
 )
 from bugsize.simulate import generate_campaign
-from helpers import detection_loglik
+from helpers import detection_loglik, flat_likelihood
 
 
 def single_cell_campaign():
@@ -69,6 +70,9 @@ def test_sampler_config_defaults_and_validation():
     # numpy seeds from any non-negative integer; a negative one fails by name here
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         SamplerConfig(seed=-1)
+    # the run settings, and only these: a new one needs this line changed
+    assert {f.name for f in fields(SamplerConfig)} == {
+        "chains", "iterations", "burn_in", "seed", "track", "fixed_mean_size", "workers"}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
@@ -368,6 +372,13 @@ def pinned_state(layout, m=10_000, seed=30):
     [("prefix", True), ("all-excluded", True), ("prefix", False), ("straddle", True)],
 )
 def test_updates_match_reference_bit_for_bit(layout, use_likelihood):
+    # without the likelihood, the sampler's updates run on a flat detection
+    # kernel and the reference drops every likelihood term
+    with contextlib.nullcontext() if use_likelihood else flat_likelihood():
+        updates_match_reference(layout, use_likelihood)
+
+
+def updates_match_reference(layout, use_likelihood):
     t_max = 400
     config = ModelConfig(max_bugs=10_000, size_exponent=1.5, dispersion=5.0)
     state = pinned_state(layout)
@@ -382,11 +393,11 @@ def test_updates_match_reference_bit_for_bit(layout, use_likelihood):
     for _ in range(4):
         past_table_end.append(state.size.max() >= KERNEL_TABLE_SIZES)
         assert_same_acceptance(
-            update_sizes(state, t_max, config, rng, use_likelihood),
+            update_sizes(state, t_max, config, rng),
             ref_update_sizes(ref, t_max, config, ref_rng, use_likelihood),
         )
         assert_same_bits(state, ref)
-        update_inclusion(state, t_max, config, rng, use_likelihood)
+        update_inclusion(state, t_max, config, rng)
         ref_update_inclusion(ref, t_max, config, ref_rng, use_likelihood)
         assert_same_bits(state, ref)
         state.inclusion_prob = draw_inclusion_prob(state.total_bugs, state.max_bugs, rng)
@@ -754,7 +765,7 @@ def test_serial_run_all_drops_a_finished_chain_before_the_next_starts(monkeypatc
     [
         (3, 2, dict(iterations=41, burn_in=25, track=(0, 1, 7, 8))),
         (4, 3, dict(iterations=50, burn_in=20, fixed_mean_size=3.0, track=(0, 1, 7, 8))),
-        (5, 4, dict(iterations=3, burn_in=1, use_likelihood=False, track=(0, 1, 7, 8))),
+        (5, 4, dict(iterations=3, burn_in=1, track=(0, 1, 7, 8))),
         (2, 2, dict(iterations=31, track=tuple(range(9)))),
         (4, 2, dict(iterations=30, burn_in=7)),
     ],
@@ -768,6 +779,30 @@ def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
                      SamplerConfig(chains=chains, seed=13, workers=workers, **settings))
     assert serial.draws.tobytes() == pooled.draws.tobytes()
     assert serial.acceptance == pooled.acceptance
+
+
+# a forked pool's workers inherit the flat kernel
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_fit_reads_the_campaign_only_as_its_detected_count_and_t_max(workers):
+    # n = 4 and t_max = 6 in both, from different grids
+    regridded = TestCampaign(test_cases=[[1, 6, 0]], bugs_detected=[[0, 0, 4]])
+    scfg = SamplerConfig(chains=3, iterations=30, burn_in=5, seed=21, workers=workers,
+                         track=(0, 4, 8))
+
+    def fit(campaign, model=SCHEDULE_MODEL):
+        chainset = run_all(campaign, model, scfg)
+        return chainset.draws.tobytes(), chainset.acceptance
+
+    base = fit(SCHEDULE_CAMPAIGN)
+    assert fit(regridded) == base
+    # t_max and the size exponent reach the sweep only through the detection
+    # kernel: with a flat one, neither changes a draw
+    longer = TestCampaign(test_cases=[[1, 600, 0]], bugs_detected=[[0, 0, 4]])
+    assert fit(longer) != base
+    with flat_likelihood():
+        flat = fit(SCHEDULE_CAMPAIGN)
+        assert fit(longer) == flat
+        assert fit(SCHEDULE_CAMPAIGN, replace(SCHEDULE_MODEL, size_exponent=0.7)) == flat
 
 
 @pytest.mark.parametrize("workers", [1, 2])
