@@ -8,6 +8,7 @@ Draw files carry a version stamp that readers refuse to ignore.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 from pathlib import Path
 
@@ -49,8 +50,8 @@ def read_campaign(path) -> TestCampaign:
     """
     import csv  # loaded by the commands that read a campaign only
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    text = _read_text(path, "utf-8-sig")
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise ValueError(f"{path}: no rows")
     if [c.strip() for c in rows[0]] != CAMPAIGN_FIELDS:
@@ -89,6 +90,17 @@ def read_campaign(path) -> TestCampaign:
         for k, phase in enumerate(phase_values):
             t_matrix[j, k], y_matrix[j, k] = cells[(mission, phase)]
     return TestCampaign(test_cases=t_matrix, bugs_detected=y_matrix)
+
+
+def _read_text(path, encoding: str) -> str:
+    """The text of ``path``; a byte that does not decode is an error at its file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from exc.object, which utf-8-sig starts after a byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_campaign(campaign: TestCampaign, path) -> None:
@@ -138,7 +150,7 @@ def read_draws(path) -> ChainSet:
     chain's ``seed=`` token is skipped: the seed key follows from the base
     seed and the chain id.  Every number follows :func:`_parse_token`'s rule.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, "utf-8").splitlines()
     stamp = lines[0].strip() if lines else "<empty>"
     if stamp != DRAWS_STAMP:
         raise ValueError(f"{path}: version stamp {stamp!r} does not match {DRAWS_STAMP!r}")

@@ -39,7 +39,6 @@ from .model import (
     AugmentedState,
     ModelConfig,
     TestCampaign,
-    _check_finite_positive,
     _detection_kernel,
     _draw_sizes,
     nb_log_pmf,  # not called here; perfbench's tracer wraps sampler.nb_log_pmf
@@ -82,7 +81,6 @@ class SamplerConfig:
     ``inclusion_prob``, ``total_bugs`` and ``remaining_size``; ``track``
     names candidates whose inclusion, size and size-mean trajectories are
     recorded too (none by default; recording draws no random numbers).
-    ``fixed_mean_size`` freezes all size means at a constant.
     """
 
     chains: int = 3
@@ -90,7 +88,6 @@ class SamplerConfig:
     burn_in: int | None = None
     seed: int = 0
     track: tuple[int, ...] = ()
-    fixed_mean_size: float | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -102,8 +99,6 @@ class SamplerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.fixed_mean_size is not None:
-            _check_finite_positive("fixed_mean_size", self.fixed_mean_size)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -346,12 +341,7 @@ class _Run:
     accept_mean: float = 0.0
 
 
-def _start_chain(
-    n: int,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    rng: np.random.Generator,
-) -> _Run:
+def _start_chain(n: int, model_config: ModelConfig, rng: np.random.Generator) -> _Run:
     """Draw the start of a chain on ``n`` detected candidates; no sweep has run.
 
     Starts are dispersed: detected candidates included, the rest coin flips,
@@ -361,10 +351,7 @@ def _start_chain(
     m = model_config.max_bugs
     include = rng.random(m) < 0.5
     include[:n] = True
-    if sampler_config.fixed_mean_size is not None:
-        mean_size = np.full(m, float(sampler_config.fixed_mean_size))
-    else:
-        mean_size = rng.gamma(model_config.mean_size_shape, 1.0 / model_config.mean_size_rate, m)
+    mean_size = rng.gamma(model_config.mean_size_shape, 1.0 / model_config.mean_size_rate, m)
     size = _draw_sizes(mean_size, model_config.dispersion, rng)
     # a detected bug of size 0 would be undetectable; start those at size 1
     size[:n] = np.maximum(size[:n], 1)
@@ -393,7 +380,6 @@ def run_chain(
     m = model_config.max_bugs
     track = np.array(sampler_config.track, dtype=np.intp)
     here = range(max(run.it, sampler_config.effective_burn_in), stop)
-    update_means = sampler_config.fixed_mean_size is None
 
     table = np.empty((len(_draw_names(track)), len(here)))
 
@@ -404,8 +390,7 @@ def run_chain(
         update_inclusion(state, t_max, model_config, rng)
         state.inclusion_prob = draw_inclusion_prob(state.total_bugs, m, rng)
         accept_size += update_sizes(state, t_max, model_config, rng)
-        if update_means:
-            accept_mean += update_mean_sizes(state, model_config, rng)
+        accept_mean += update_mean_sizes(state, model_config, rng)
         if it in here:
             col = it - here.start
             table[0, col] = state.inclusion_prob
@@ -420,10 +405,7 @@ def run_chain(
 def _finish_chain(sampler_config: SamplerConfig, run: _Run) -> dict[str, float]:
     """The acceptance rates of a chain that has run every sweep."""
     total = float(sampler_config.iterations)
-    acceptance = {"size": run.accept_size / total}
-    if sampler_config.fixed_mean_size is None:
-        acceptance["mean_size"] = run.accept_mean / total
-    return acceptance
+    return {"size": run.accept_size / total, "mean_size": run.accept_mean / total}
 
 
 def _run_segment(
@@ -444,7 +426,7 @@ def _run_segment(
     """
     try:
         if isinstance(run, np.random.SeedSequence):
-            run = _start_chain(n, model_config, sampler_config, np.random.default_rng(run))
+            run = _start_chain(n, model_config, np.random.default_rng(run))
         return run_chain(n, t_max, model_config, sampler_config, run, stop)
     except ValueError as exc:
         return exc

@@ -16,9 +16,9 @@
 # writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
 # exits 1 with an error that names it, the same stderr at --threads 1 and 2,
 # and leaves no output directory;
-# a campaign count past int64 and a draws file whose meta line claims 10^12
-# iterations each exit 1 with one error line naming the file and no
-# traceback; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
+# a campaign count past int64, a campaign line holding a 0xff byte (not
+# UTF-8) and a draws file whose meta line claims 10^12 iterations each exit 1
+# with one error line naming the file, no traceback and no output directory; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
 # one error line, no traceback and no output directory; fit --rhat-warn 1.1
 # exits 1 with one "unrecognized arguments" line, no traceback and no output
 # directory, since the R-hat threshold is fixed at 1.1; a fit at --max-bugs
@@ -120,11 +120,14 @@ for threads in 1 2; do
 done
 cmp "$out/dispersion-1.txt" "$out/dispersion-2.txt"
 
-# malformed numbers: a test_cases count past int64, and a meta line that claims
-# more iterations than the file has rows (sized from it, the draws need 22 TiB)
+# malformed input: a test_cases count past int64, a byte that is not UTF-8 at
+# the end of line 2, and a meta line that claims more iterations than the file
+# has rows (sized from it, the draws need 22 TiB)
 sed 's/^M1,1,[0-9]*,/M1,1,99999999999999999999,/' "$out/campaign.csv" > "$out/huge.csv"
+sed '2s/$/\xff/' "$out/campaign.csv" > "$out/bytes.csv"
 sed 's/ iterations=200 / iterations=1000000000000 /' "$out/draws.csv" > "$out/claims.csv"
-for command in "fit huge.csv --iters 20 --max-bugs 80" "reliability claims.csv --epsilon 100"; do
+for command in "fit huge.csv --iters 20 --max-bugs 80" "fit bytes.csv --iters 20 --max-bugs 80" \
+    "reliability claims.csv --epsilon 100"; do
   read -ra argv <<< "$command"
   argv[1]="$out/${argv[1]}"
   code=0
@@ -132,7 +135,7 @@ for command in "fit huge.csv --iters 20 --max-bugs 80" "reliability claims.csv -
     || code=$?
   if [ "$code" -ne 1 ] || [ "$(wc -l < "$out/malformed.txt")" -ne 1 ] \
       || ! grep -qF "bugsize: error: ${argv[1]}:" "$out/malformed.txt" \
-      || grep -q Traceback "$out/malformed.txt"; then
+      || grep -q Traceback "$out/malformed.txt" || [ -e "$out/malformed" ]; then
     echo "${argv[0]} ${argv[1]} exited $code with:" >&2
     cat "$out/malformed.txt" >&2
     exit 1

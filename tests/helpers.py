@@ -3,10 +3,10 @@
 import contextlib
 
 import numpy as np
-from scipy import signal
+from scipy import signal, stats
 
 from bugsize import sampler
-from bugsize.model import _detection_rate
+from bugsize.model import _detection_rate, nb_log_pmf
 from bugsize.sampler import ChainSet
 
 
@@ -33,6 +33,21 @@ def ar1(rng, n_chains, length, rho):
     noise = rng.standard_normal((n_chains, length))
     noise[:, 0] /= np.sqrt(1.0 - rho * rho)
     return signal.lfilter([1.0], [1.0, -rho], noise, axis=1)
+
+
+def gamma_mixed_size_pmf(s, model_config):
+    """A candidate's prior size pmf at ``s``, its size mean integrated out.
+
+    Each candidate's size is negative binomial about its own mean, and the
+    mean has a gamma prior, so a priori the sizes are independent draws from
+    ``p(s) = integral of NB(s; lam, dispersion) * Gamma(lam; shape, rate) dlam``.
+    The integral is a trapezoid sum over 20,001 means evenly spaced between
+    the prior's 1e-12 and 1 - 1e-12 quantiles.
+    """
+    prior = stats.gamma(model_config.mean_size_shape, scale=1.0 / model_config.mean_size_rate)
+    lam = np.linspace(*prior.ppf([1e-12, 1.0 - 1e-12]), 20_001)
+    size_pmf = np.exp(nb_log_pmf(np.asarray(s)[..., None], lam, model_config.dispersion))
+    return np.trapezoid(size_pmf * prior.pdf(lam), lam, axis=-1)
 
 
 def detection_loglik(size, include, detected, exponent, t_max):

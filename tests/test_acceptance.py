@@ -16,11 +16,11 @@ from scipy.special import betaln
 from bugsize.cli import main
 from bugsize.datasets import flight_software_campaign
 from bugsize.diagnostics import effective_sample_size, split_rhat, summarize
-from bugsize.model import ModelConfig, TestCampaign, nb_log_pmf
+from bugsize.model import ModelConfig, TestCampaign
 from bugsize.reliability import reliability_curve
 from bugsize.sampler import SamplerConfig, draw_inclusion_prob, run_all
 from bugsize.simulate import generate_campaign
-from helpers import ar1, flat_likelihood
+from helpers import ar1, flat_likelihood, gamma_mixed_size_pmf
 
 
 @contextlib.contextmanager
@@ -55,15 +55,21 @@ def test_criterion_1_inclusion_prob_conjugacy():
 def test_criterion_2_tiny_instance_enumeration():
     with criterion("2 tiny-instance enumeration"):
         start = time.time()
-        m, t, lam, disp, cap = 3, 5.0, 3.0, 50.0, 60
+        m, t, cap = 3, 5.0, 60
         campaign = TestCampaign(test_cases=[[5]], bugs_detected=[[1]])
-        config = ModelConfig(max_bugs=m, size_exponent=1.0, dispersion=disp)
+        # size means of prior mean 3, and sizes loose about them (dispersion
+        # 2), so that a wrong size-mean update moves the size marginals
+        config = ModelConfig(max_bugs=m, size_exponent=1.0, dispersion=2.0,
+                             mean_size_shape=3.0, mean_size_rate=1.0)
 
         # exact augmented posterior: candidate 0 is detected (inclusion
         # forced), candidates 1-2 free; the flat inclusion-prob prior
-        # integrates to a beta function of the included count
+        # integrates to a beta function of the included count.  The size
+        # means are independent a priori and reach the likelihood only
+        # through the sizes, so each candidate's size prior is its size pmf
+        # with the mean integrated out of the gamma prior
         s = np.arange(cap + 1)
-        prior = np.exp(nb_log_pmf(s, lam, disp))
+        prior = gamma_mixed_size_pmf(s, config)
         prior /= prior.sum()
         alpha = 1.0 - np.exp(-s.astype(float) / t)
         f_detected = prior * alpha
@@ -85,8 +91,7 @@ def test_criterion_2_tiny_instance_enumeration():
 
         chainset = run_all(
             campaign, config,
-            SamplerConfig(chains=3, iterations=20_000, seed=11,
-                          fixed_mean_size=lam, track=(0, 1, 2)),
+            SamplerConfig(chains=3, iterations=20_000, seed=11, track=(0, 1, 2)),
         )
         n_draws = chainset.pooled("total_bugs").astype(int)
         hist_n = np.bincount(n_draws, minlength=m + 1) / n_draws.size
@@ -137,18 +142,20 @@ def test_criterion_4_prior_recovery():
         assert lam_draws.size >= 50_000
         assert abs(lam_draws.mean() - 100.0) <= 2.0
 
-        # a flat kernel at a fixed mean: sizes match their prior pmf
+        # a flat kernel under size means of prior mean 5: sizes match their
+        # prior pmf, the size mean integrated out
+        small = ModelConfig(max_bugs=25, mean_size_shape=50.0, mean_size_rate=10.0)
         with flat_likelihood():
-            fixed = run_all(
-                campaign, config,
+            sized = run_all(
+                campaign, small,
                 SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=5,
-                              fixed_mean_size=5.0, track=tuple(range(25))),
+                              track=tuple(range(25))),
             )
         s_draws = np.concatenate(
-            [fixed.pooled(f"size[{i}]") for i in range(25)]
+            [sized.pooled(f"size[{i}]") for i in range(25)]
         ).astype(int)
         assert s_draws.size >= 50_000
-        pmf = np.exp(nb_log_pmf(np.arange(101), 5.0, 50.0))
+        pmf = gamma_mixed_size_pmf(np.arange(101), small)
         assert tv_discrete(s_draws, pmf) <= 0.02
 
 

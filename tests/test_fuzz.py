@@ -11,7 +11,9 @@ Each input gets every bad value in every field of its leading lines (a
 campaign's header and first row; a draws file's meta line, first chain line,
 header and first row), then ``MUTANTS`` mutants drawn from a seeded
 generator: a line dropped, duplicated or swapped, the text cut short, a
-random field of a random line made bad, or the first line changed.
+random field of a random line made bad, or the first line changed.  Last,
+each of ``BAD_BYTES`` goes at the end of each of those leading lines: such a
+file must fail, naming its file and that line.
 """
 
 import time
@@ -22,6 +24,8 @@ import pytest
 from bugsize.cli import main
 
 BAD_VALUES = ("nan", "inf", "1_0", "99999999999999999999", "1000000000000", "-1", "")
+# bytes that are not UTF-8: an invalid start byte, and a two-byte piece of a three-byte character
+BAD_BYTES = (b"\xff", b"\xe2\x82")
 MUTANTS = 30
 SEED = 22
 CAMPAIGN = """mission,phase,test_cases,bugs_detected
@@ -34,8 +38,8 @@ M2,3,4,1
 """
 FIT = ["--iters", "20", "--threads", "1", "--max-bugs", "30"]
 # The most one call may take, so that no input makes a command hang: about 250
-# times the slowest of the 442 calls this file makes, over three runs on a
-# 2-core VM (8.2 ms, a reliability call; fit calls took at most 7.0 ms)
+# times the slowest of the 442 text-mutant calls this file makes, over three
+# runs on a 2-core VM (8.2 ms, a reliability call; fit calls took at most 7.0 ms)
 CALL_SECONDS = 2.0
 
 
@@ -84,9 +88,18 @@ def mutants(text: str, lead: list[int], rng: np.random.Generator):
         yield "\n".join(edited) + "\n"
 
 
+def byte_mutants(text: str, lead: list[int]):
+    """``text`` as UTF-8 with each of ``BAD_BYTES`` ending each line ``lead``, and that
+    line's ``path:line:`` suffix."""
+    lines = text.encode().split(b"\n")
+    for i in lead:
+        for bad in BAD_BYTES:
+            yield b"\n".join([*lines[:i], lines[i] + bad, *lines[i + 1 :]]), f":{i + 1}:"
+
+
 def check(capsys, argv, path=None):
     """Run one command in-process; it must exit 0 or 1 within ``CALL_SECONDS``, a 1 with
-    one error as its last line, which names ``path`` if one is given."""
+    one error as its last line, which names ``path`` if one is given.  Returns the code."""
     capsys.readouterr()
     began = time.perf_counter()
     code = main(argv)
@@ -97,6 +110,7 @@ def check(capsys, argv, path=None):
     if code == 1:
         assert err and err[-1].startswith("bugsize: error: "), (argv, err)
         assert path is None or str(path) in err[-1], (argv, err)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +128,11 @@ def test_fuzz_campaign_reader(tmp_path, capsys):
     for n, text in enumerate(mutants(CAMPAIGN, [0, 1], rng)):
         path.write_text(text)
         check(capsys, ["fit", str(path), *FIT, "--out", str(tmp_path / f"out{n}")], path)
+    for data, line in byte_mutants(CAMPAIGN, [0, 1]):
+        path.write_bytes(data)
+        out = tmp_path / "out-bytes"
+        assert check(capsys, ["fit", str(path), *FIT, "--out", str(out)], f"{path}{line}") == 1
+        assert not out.exists()
 
 
 def test_fuzz_draws_reader(tmp_path, capsys, fitted_draws):
@@ -127,6 +146,10 @@ def test_fuzz_draws_reader(tmp_path, capsys, fitted_draws):
         check(capsys, ["reliability", str(path), "--epsilon", "10,50", "--out", str(tmp_path)],
               path)
         check(capsys, ["diagnose", str(path), "--out", str(tmp_path)], path)
+    for data, line in byte_mutants(fitted_draws, lead):
+        path.write_bytes(data)
+        for argv in (["reliability", str(path), "--epsilon", "10,50"], ["diagnose", str(path)]):
+            assert check(capsys, [*argv, "--out", str(tmp_path)], f"{path}{line}") == 1
 
 
 def test_fuzz_epsilon_parser(tmp_path, capsys, fitted_draws):

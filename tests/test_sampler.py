@@ -72,15 +72,7 @@ def test_sampler_config_defaults_and_validation():
         SamplerConfig(seed=-1)
     # the run settings, and only these: a new one needs this line changed
     assert {f.name for f in fields(SamplerConfig)} == {
-        "chains", "iterations", "burn_in", "seed", "track", "fixed_mean_size", "workers"}
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-def test_sampler_config_rejects_a_fixed_mean_size_not_finite_and_positive(value):
-    # the rule ModelConfig's floats follow; nan and inf would fail inside run_all
-    with pytest.raises(ValueError, match=f"^fixed_mean_size must be finite and positive, "
-                                         f"got {value}$"):
-        SamplerConfig(fixed_mean_size=value)
+        "chains", "iterations", "burn_in", "seed", "track", "workers"}
 
 
 # ---------------------------------------------------- inclusion-prob draw
@@ -731,9 +723,9 @@ SCHEDULE_MODEL = ModelConfig(max_bugs=9, mean_size_shape=2.0, mean_size_rate=1.0
 def test_advance_in_pieces_matches_run_chain():
     scfg = SamplerConfig(iterations=40, burn_in=9, seed=8, track=(0, 4, 8))
     n, t_max = SCHEDULE_CAMPAIGN.detected_total, SCHEDULE_CAMPAIGN.t_max
-    whole = sampler._start_chain(n, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
+    whole = sampler._start_chain(n, SCHEDULE_MODEL, np.random.default_rng(81))
     table, whole = sampler.run_chain(n, t_max, SCHEDULE_MODEL, scfg, whole, 40)
-    run = sampler._start_chain(n, SCHEDULE_MODEL, scfg, np.random.default_rng(81))
+    run = sampler._start_chain(n, SCHEDULE_MODEL, np.random.default_rng(81))
     parts = []
     # pieces that end before, at and inside the burn-in, and an empty one
     for stop in (4, 9, 9, 23, 40):
@@ -764,12 +756,12 @@ def test_serial_run_all_drops_a_finished_chain_before_the_next_starts(monkeypatc
     "chains, workers, settings",
     [
         (3, 2, dict(iterations=41, burn_in=25, track=(0, 1, 7, 8))),
-        (4, 3, dict(iterations=50, burn_in=20, fixed_mean_size=3.0, track=(0, 1, 7, 8))),
+        (4, 3, dict(iterations=50, burn_in=20, track=(0, 1, 7, 8))),
         (5, 4, dict(iterations=3, burn_in=1, track=(0, 1, 7, 8))),
         (2, 2, dict(iterations=31, track=tuple(range(9)))),
         (4, 2, dict(iterations=30, burn_in=7)),
     ],
-    ids=["3-on-2-handed-between-workers", "4-on-3-fixed-mean", "5-on-4-fewer-sweeps-than-workers",
+    ids=["3-on-2-handed-between-workers", "4-on-3", "5-on-4-fewer-sweeps-than-workers",
          "2-on-2-default-burn-in", "4-on-2-whole-chains-default-track"],
 )
 def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
@@ -864,11 +856,13 @@ def test_run_all_rejects_low_ceiling():
 
 
 def test_run_all_starts_when_prior_sizes_are_all_zero():
-    # a size mean of 1e-9 makes every prior size draw 0; detected candidates
-    # start at size 1, the smallest detectable size, and keep it
+    # a gamma prior of mean 1e-9 on the size means makes every prior size draw
+    # 0; detected candidates start at size 1, the smallest detectable size,
+    # and keep it
     camp = TestCampaign(test_cases=[[5, 2]], bugs_detected=[[2, 1]])
-    scfg = SamplerConfig(chains=2, iterations=5, seed=3, fixed_mean_size=1e-9, track=(0, 2, 3))
-    chainset = run_all(camp, ModelConfig(max_bugs=6), scfg)
+    scfg = SamplerConfig(chains=2, iterations=5, seed=3, track=(0, 2, 3))
+    tiny_means = ModelConfig(max_bugs=6, mean_size_shape=1.0, mean_size_rate=1e9)
+    chainset = run_all(camp, tiny_means, scfg)
     assert np.all(chainset.matrix("size[0]") == 1) and np.all(chainset.matrix("size[2]") == 1)
     assert np.all(chainset.matrix("size[3]") == 0)
     assert np.all(chainset.matrix("remaining_size") == 0)
@@ -947,7 +941,7 @@ def test_chains_settle_well_within_the_default_burn_in(name):
     scfg = SamplerConfig(chains=1, iterations=sweeps, burn_in=0)
     for start in ("dispersed", "all-included", "all-excluded"):
         for seed in range(3):
-            run = sampler._start_chain(n, config, scfg, np.random.default_rng(seed))
+            run = sampler._start_chain(n, config, np.random.default_rng(seed))
             if start == "all-included":
                 run.state.include[:] = True
                 run.state.inclusion_prob = (m + 1) / (m + 2)
