@@ -51,19 +51,28 @@ def read_campaign(path) -> TestCampaign:
     import csv  # loaded by the commands that read a campaign only
 
     text = _read_text(path, "utf-8-sig")
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # a record starts on the line after the one the previous record ended on
+    # (csv reads a blank line as an empty record); keep each non-empty one
+    # with the line it starts on, so a quoted field across lines names its first
+    rows, end = [], 0
+    for row in reader:
+        if row:
+            rows.append((end + 1, row))
+        end = reader.line_num
     if not rows:
         raise ValueError(f"{path}: no rows")
-    if [c.strip() for c in rows[0]] != CAMPAIGN_FIELDS:
+    header = rows[0][1]
+    if [c.strip() for c in header] != CAMPAIGN_FIELDS:
         raise ValueError(
-            f"{path}: expected header {','.join(CAMPAIGN_FIELDS)!r}, got {','.join(rows[0])!r}"
+            f"{path}: expected header {','.join(CAMPAIGN_FIELDS)!r}, got {','.join(header)!r}"
         )
     if len(rows) == 1:
         raise ValueError(f"{path}: no rows")
 
     cells: dict[tuple[str, int], tuple[int, int]] = {}
     missions: list[str] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         where = f"{path}:{lineno}"
         if len(row) != 4:
             raise ValueError(f"{where}: expected 4 fields, got {len(row)}")

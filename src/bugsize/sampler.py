@@ -70,6 +70,9 @@ DEFAULT_BURN_IN_CAP = 200
 # state has it.  The lower figure keeps the memory check a floor.
 _SWEEP_BYTES_PER_CANDIDATE = 65
 
+# The quantities a run records, in the order of ``run_chain``'s table rows.
+_DRAW_NAMES = ("inclusion_prob", "total_bugs", "remaining_size")
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -77,17 +80,14 @@ class SamplerConfig:
 
     ``burn_in`` defaults to half the iterations, at most
     ``DEFAULT_BURN_IN_CAP``: chains forget their start within a few dozen
-    sweeps, so a long run need not discard half its work.  A run always records
-    ``inclusion_prob``, ``total_bugs`` and ``remaining_size``; ``track``
-    names candidates whose inclusion, size and size-mean trajectories are
-    recorded too (none by default; recording draws no random numbers).
+    sweeps, so a long run need not discard half its work.  A run records
+    ``inclusion_prob``, ``total_bugs`` and ``remaining_size``.
     """
 
     chains: int = 3
     iterations: int = 50_000
     burn_in: int | None = None
     seed: int = 0
-    track: tuple[int, ...] = ()
     workers: int = 1
 
     def __post_init__(self):
@@ -281,20 +281,6 @@ def update_mean_sizes(
     return float(np.count_nonzero(accept) / state.max_bugs)
 
 
-def _check_track(track: tuple[int, ...], max_bugs: int) -> None:
-    for i in track:
-        if not 0 <= i < max_bugs:
-            raise ValueError(f"tracked candidate index {i} out of range for max_bugs={max_bugs}")
-    if len(set(track)) != len(track):
-        raise ValueError(f"tracked candidate indices repeat: {tuple(track)}")
-
-
-def _draw_names(track) -> list[str]:
-    """Recorded quantities, in the order of ``run_chain``'s table rows."""
-    names = ["inclusion_prob", "total_bugs", "remaining_size"]
-    return names + [f"{key}[{i}]" for key in ("include", "size", "mean_size") for i in track]
-
-
 def _check_campaign(campaign: TestCampaign, model_config: ModelConfig) -> None:
     """Reject a campaign that the model under ``model_config`` cannot fit."""
     if model_config.max_bugs < campaign.detected_total:
@@ -322,7 +308,7 @@ def _check_memory(model_config: ModelConfig, sampler_config: SamplerConfig) -> N
     workers = min(sampler_config.workers, chains)
     kept = sampler_config.iterations - sampler_config.effective_burn_in
     need = (workers * _SWEEP_BYTES_PER_CANDIDATE * model_config.max_bugs
-            + 8 * chains * len(_draw_names(sampler_config.track)) * kept)
+            + 8 * chains * len(_DRAW_NAMES) * kept)
     have = _physical_memory()
     if need > have:
         raise ValueError(f"a fit of max_bugs={model_config.max_bugs} with {chains} chains "
@@ -369,19 +355,17 @@ def run_chain(
 ) -> tuple[np.ndarray, _Run]:
     """Run sweeps ``[run.it, stop)``; return the table columns they keep and the run after them.
 
-    Always records the inclusion probability, the included-bug count and the
-    remaining (included-but-undetected) total size, plus inclusion, size and
-    size-mean trajectories for the tracked candidates, if any: one table row
-    per ``_draw_names(track)`` entry, one column per sweep from the burn-in
-    on.  The acceptance sums carry on from ``run``, added to in sweep order,
-    so a chain advanced in consecutive pieces ends with the same floats as
-    one advanced in a single piece.  perfbench's trace times sweeps by this name.
+    Records the inclusion probability, the included-bug count and the
+    remaining (included-but-undetected) total size: one table row per
+    ``_DRAW_NAMES`` entry, one column per sweep from the burn-in on.  The
+    acceptance sums carry on from ``run``, added to in sweep order, so a chain
+    advanced in consecutive pieces ends with the same floats as one advanced
+    in a single piece.  perfbench's trace times sweeps by this name.
     """
     m = model_config.max_bugs
-    track = np.array(sampler_config.track, dtype=np.intp)
     here = range(max(run.it, sampler_config.effective_burn_in), stop)
 
-    table = np.empty((len(_draw_names(track)), len(here)))
+    table = np.empty((len(_DRAW_NAMES), len(here)))
 
     state, rng = run.state, run.rng
     accept_size = run.accept_size
@@ -396,9 +380,6 @@ def run_chain(
             table[0, col] = state.inclusion_prob
             table[1, col] = state.total_bugs
             table[2, col] = np.dot(state.size[n:], state.include[n:])
-            if track.size:
-                table[3:, col] = np.concatenate(
-                    (state.include[track], state.size[track], state.mean_size[track]))
     return table, _Run(state, rng, stop, accept_size, accept_mean)
 
 
@@ -473,16 +454,14 @@ def run_all(
     rounds take one segment's time each, so 3 chains on 2 workers take 1.5
     chain-times rather than 2.  A chain's draws are the same bytes for any W.
 
-    The campaign, the tracked indices and the memory estimate are checked
-    once, before any worker starts; a chain reads the campaign only as its
-    detected count ``n`` and ``t_max``.  A failing chain raises the error a
-    serial run would: a ``ValueError`` unchanged, anything else as a
-    ``RuntimeError`` naming the chain.  Once one fails, only lower-numbered
-    chains, which may fail too, take further segments; the lowest failed
-    chain's error is raised.
+    The campaign and the memory estimate are checked once, before any worker
+    starts; a chain reads the campaign only as its detected count ``n`` and
+    ``t_max``.  A failing chain raises the error a serial run would: a
+    ``ValueError`` unchanged, anything else as a ``RuntimeError`` naming the
+    chain.  Once one fails, only lower-numbered chains, which may fail too,
+    take further segments; the lowest failed chain's error is raised.
     """
     _check_campaign(campaign, model_config)
-    _check_track(sampler_config.track, model_config.max_bugs)
     _check_memory(model_config, sampler_config)
     count = sampler_config.chains
     workers = min(sampler_config.workers, count)
@@ -511,7 +490,7 @@ def run_all(
     if failed:
         raise failed[min(failed)]
     return ChainSet(
-        names=_draw_names(sampler_config.track),
+        names=list(_DRAW_NAMES),
         draws=np.stack([np.concatenate(p, axis=1) for p in parts]), acceptance=runs,
         base_seed=sampler_config.seed, iterations=sampler_config.iterations,
         burn_in=sampler_config.effective_burn_in, thin=1,

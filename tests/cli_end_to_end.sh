@@ -5,22 +5,25 @@
 #   tests/cli_end_to_end.sh bugsize              # the installed console script
 #   tests/cli_end_to_end.sh python -m bugsize    # a source checkout
 #
-# Checks: a default fit records the three posterior quantities only; the
-# default burn-in is half of --iters, at most 200 sweeps; diagnose prints
+# Checks: a default fit's draws name exactly inclusion_prob, total_bugs and
+# remaining_size, in that order, and nothing per candidate; the default
+# burn-in is half of --iters, at most 200 sweeps; diagnose prints
 # report.json's R-hat, upper bound and ESS for every parameter; reliability
 # reads the fit, and prints thresholds 0.01 and 0.04 as reliability.csv writes
-# them, so the two print apart; reliability, diagnose and fit --threads 1 import
-# neither numpy.ma nor concurrent.futures, nor bugsize.simulate; reliability and
-# diagnose import neither json nor csv, and diagnose and fit import no
-# bugsize.reliability; a fit at --nu 1000 (certain detection)
-# writes no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from
-# exits 1 with an error that names it, the same stderr at --threads 1 and 2,
-# and leaves no output directory;
-# a campaign count past int64, a campaign line holding a 0xff byte (not
-# UTF-8) and a draws file whose meta line claims 10^12 iterations each exit 1
-# with one error line naming the file, no traceback and no output directory; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with
-# one error line, no traceback and no output directory; fit --rhat-warn 1.1
-# exits 1 with one "unrecognized arguments" line, no traceback and no output
+# them, so the two print apart; reliability, diagnose and fit --threads 1
+# import neither numpy.ma nor concurrent.futures, nor bugsize.simulate;
+# reliability and diagnose import neither json nor csv, and diagnose and fit
+# import no bugsize.reliability; a fit at --nu 1000 (certain detection) writes
+# no numpy RuntimeWarning; a --dispersion numpy cannot draw sizes from exits 1
+# with an error that names it, the same stderr at --threads 1 and 2, and
+# leaves no output directory; a campaign count past int64, a campaign line
+# holding a 0xff byte (not UTF-8) and a draws file whose meta line claims
+# 10^12 iterations each exit 1 with one error line naming the file, no
+# traceback and no output directory; a campaign whose line 2 is blank and
+# whose line 4 holds a bad count exits 1 naming line 4, and leaves no output
+# directory; fit --nu 1_5 and simulate --t-max past int64 each exit 1 with one
+# error line, no traceback and no output directory; fit --rhat-warn 1.1 exits
+# 1 with one "unrecognized arguments" line, no traceback and no output
 # directory, since the R-hat threshold is fixed at 1.1; a fit at --max-bugs
 # 10^12, past any machine's memory, exits 1 with one error line that says so,
 # no traceback and no output directory; a pooled fit writes the serial fit's
@@ -39,9 +42,14 @@ trap 'rm -rf "$out"' EXIT
 
 "${bugsize[@]}" simulate --missions 6 --phases 3 --true-bugs 20 --max-bugs 80 --seed 1 --out "$out"
 "${bugsize[@]}" fit "$out/campaign.csv" --iters 200 --max-bugs 80 --seed 2 --out "$out"
-# a default fit records the three posterior quantities and nothing per candidate
-params=$(grep -v '^#' "$out/draws.csv" | tail -n +2 | cut -d, -f3 | sort -u | tr '\n' ' ')
-test "$params" = "inclusion_prob remaining_size total_bugs "
+# a default fit records the three posterior quantities, in this order, and
+# nothing per candidate
+params=$(grep -v '^#' "$out/draws.csv" | tail -n +2 | cut -d, -f3 | awk '!seen[$0]++' \
+  | tr '\n' ' ')
+if [ "$params" != "inclusion_prob total_bugs remaining_size " ]; then
+  echo "a default fit's draws name $params" >&2
+  exit 1
+fi
 # the default burn-in is half of --iters, at most 200 sweeps
 grep -qx '# meta chains=3 iterations=200 burn_in=100 thin=1 base_seed=2' "$out/draws.csv"
 "${bugsize[@]}" fit "$out/campaign.csv" --iters 1000 --max-bugs 80 --seed 2 --out "$out/long"
@@ -141,6 +149,19 @@ for command in "fit huge.csv --iters 20 --max-bugs 80" "fit bytes.csv --iters 20
     exit 1
   fi
 done
+
+# a blank line counts: the bad count on line 4, after a blank line 2, is named as line 4
+printf 'mission,phase,test_cases,bugs_detected\n\nM1,1,5,0\nM1,2,x,0\n' > "$out/blank.csv"
+code=0
+"${bugsize[@]}" fit "$out/blank.csv" --iters 20 --max-bugs 80 --out "$out/blank" \
+  2> "$out/blank.txt" > /dev/null || code=$?
+if [ "$code" -ne 1 ] || [ "$(wc -l < "$out/blank.txt")" -ne 1 ] \
+    || ! grep -qxF "bugsize: error: $out/blank.csv:4: counts must be integers" "$out/blank.txt" \
+    || [ -e "$out/blank" ]; then
+  echo "fit blank.csv exited $code with:" >&2
+  cat "$out/blank.txt" >&2
+  exit 1
+fi
 
 # flag values outside the number rule: "_" grouping, and an integer past int64
 for command in "fit campaign.csv --iters 20 --nu 1_5" "simulate --t-max 99999999999999999999"; do

@@ -1,13 +1,14 @@
 """Shared fixtures-in-spirit: hand-built chain sets and reference processes."""
 
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 from scipy import signal, stats
 
 from bugsize import sampler
 from bugsize.model import _detection_rate, nb_log_pmf
-from bugsize.sampler import ChainSet
+from bugsize.sampler import ChainSet, run_all
 
 
 def make_chainset(arrays_by_param, burn_in=0):
@@ -87,3 +88,49 @@ def flat_likelihood():
         yield
     finally:
         sampler._detection_kernel = kernel
+
+
+@contextlib.contextmanager
+def record_sweeps():
+    """Record every candidate's state after each sweep that runs while the block runs.
+
+    ``run_chain`` looks ``sampler.update_mean_sizes``, the sweep's last update,
+    up by name at call time, so the stand-in sees each sweep's final state: it
+    passes the update's return value through and appends copies of
+    ``include``, ``size`` and ``mean_size`` to the list it yields.  A pool's
+    workers would append to their own copies, so record serial runs only,
+    whose chains run whole, one after another.
+    """
+    sweeps = []
+    update = sampler.update_mean_sizes
+
+    def recording_update(state, config, rng):
+        accept = update(state, config, rng)
+        sweeps.append((state.include.copy(), state.size.copy(), state.mean_size.copy()))
+        return accept
+
+    sampler.update_mean_sizes = recording_update
+    try:
+        yield sweeps
+    finally:
+        sampler.update_mean_sizes = update
+
+
+def run_with_candidate_rows(campaign, model_config, sampler_config, candidates):
+    """A serial ``run_all``'s chain set and, after its rows, each candidate's kept states.
+
+    The rows are ``include[i]`` for each candidate ``i``, then ``size[i]``,
+    then ``mean_size[i]``, as floats, recorded by ``record_sweeps``: the
+    layout and the values of the per-candidate rows in draws files of
+    earlier versions.
+    """
+    assert sampler_config.workers == 1, "a pool's workers record into their own copies"
+    with record_sweeps() as sweeps:
+        chainset = run_all(campaign, model_config, sampler_config)
+    chains, kept = chainset.n_chains, chainset.kept_per_chain
+    states = np.array(sweeps, dtype=float).reshape(chains, chainset.iterations, 3, -1)
+    picked = states[:, chainset.burn_in:][..., list(candidates)]  # (chains, kept, 3, candidates)
+    rows = picked.transpose(0, 2, 3, 1).reshape(chains, -1, kept)
+    names = [f"{key}[{i}]" for key in ("include", "size", "mean_size") for i in candidates]
+    return replace(chainset, names=chainset.names + names,
+                   draws=np.concatenate((chainset.draws, rows), axis=1))

@@ -20,7 +20,7 @@ from bugsize.model import ModelConfig, TestCampaign
 from bugsize.reliability import reliability_curve
 from bugsize.sampler import SamplerConfig, draw_inclusion_prob, run_all
 from bugsize.simulate import generate_campaign
-from helpers import ar1, flat_likelihood, gamma_mixed_size_pmf
+from helpers import ar1, flat_likelihood, gamma_mixed_size_pmf, run_with_candidate_rows
 
 
 @contextlib.contextmanager
@@ -89,10 +89,8 @@ def test_criterion_2_tiny_instance_enumeration():
         exact_s_detected = f_detected / g_detected
         exact_s_free = p_included * (f_hidden / g_hidden) + (1.0 - p_included) * prior
 
-        chainset = run_all(
-            campaign, config,
-            SamplerConfig(chains=3, iterations=20_000, seed=11, track=(0, 1, 2)),
-        )
+        chainset = run_with_candidate_rows(
+            campaign, config, SamplerConfig(chains=3, iterations=20_000, seed=11), range(m))
         n_draws = chainset.pooled("total_bugs").astype(int)
         hist_n = np.bincount(n_draws, minlength=m + 1) / n_draws.size
         assert 0.5 * np.abs(hist_n - exact_n).sum() <= 0.02
@@ -131,10 +129,9 @@ def test_criterion_4_prior_recovery():
         # a flat detection kernel leaves the bare prior: the pooled mean-size
         # marginal is its gamma prior
         with flat_likelihood():
-            free = run_all(
+            free = run_with_candidate_rows(
                 campaign, config,
-                SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=3,
-                              track=tuple(range(25))),
+                SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=3), range(25),
             )
         lam_draws = np.concatenate(
             [free.pooled(f"mean_size[{i}]") for i in range(25)]
@@ -146,10 +143,9 @@ def test_criterion_4_prior_recovery():
         # prior pmf, the size mean integrated out
         small = ModelConfig(max_bugs=25, mean_size_shape=50.0, mean_size_rate=10.0)
         with flat_likelihood():
-            sized = run_all(
+            sized = run_with_candidate_rows(
                 campaign, small,
-                SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=5,
-                              track=tuple(range(25))),
+                SamplerConfig(chains=3, iterations=1000, burn_in=200, seed=5), range(25),
             )
         s_draws = np.concatenate(
             [sized.pooled(f"size[{i}]") for i in range(25)]

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import bugsize
@@ -277,6 +277,25 @@ def test_fit_run_settings_default_to_sampler_config():
     config = SamplerConfig()
     assert (args.chains, args.iters, args.burn_in) == (
         config.chains, config.iterations, config.burn_in)
+
+
+def test_fit_flags_set_every_sampler_config_field(tmp_path, monkeypatch):
+    # SamplerConfig holds fit's run settings and nothing else: each field comes
+    # from a flag, so a field no flag sets fails here
+    seen = []
+    real_run_all = cli.run_all
+
+    def record_then_run(campaign, model_config, sampler_config):
+        seen.append(sampler_config)
+        return real_run_all(campaign, model_config, sampler_config)
+
+    monkeypatch.setattr(cli, "run_all", record_then_run)
+    assert main(["fit", str(small_campaign_file(tmp_path)), "--chains", "2", "--iters", "30",
+                 "--burn-in", "5", "--seed", "7", "--threads", "1",
+                 "--out", str(tmp_path / "fit")]) == 0
+    (config,) = seen
+    assert {f.name: getattr(config, f.name) for f in fields(SamplerConfig)} == {
+        "chains": 2, "iterations": 30, "burn_in": 5, "seed": 7, "workers": 1}
 
 
 def test_fit_threads_below_one_names_the_flag(tmp_path, capsys):

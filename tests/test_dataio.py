@@ -16,18 +16,17 @@ from bugsize.dataio import (
 from bugsize.cli import main
 from bugsize.diagnostics import summarize, trace_export
 from bugsize.model import ModelConfig, TestCampaign
-from bugsize.sampler import ChainSet, SamplerConfig, run_all
-from helpers import make_chainset, same_campaign
+from bugsize.sampler import ChainSet, SamplerConfig
+from helpers import make_chainset, run_with_candidate_rows, same_campaign
 
 
 @pytest.fixture
 def small_chainset():
     campaign = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[1, 1]])
     config = ModelConfig(max_bugs=8, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    return campaign, config, run_all(
-        campaign, config,
-        SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60, track=(0, 1, 6, 7)),
-    )
+    # three posterior rows and twelve per-candidate ones, as earlier versions wrote them
+    scfg = SamplerConfig(chains=3, iterations=40, burn_in=20, seed=60)
+    return campaign, config, run_with_candidate_rows(campaign, config, scfg, (0, 1, 6, 7))
 
 
 # ---------------------------------------------------------- campaign CSV
@@ -117,6 +116,24 @@ def test_read_campaign_reads_numbers_by_the_draws_reader_rule(tmp_path, field, v
     assert str(err.value) == f"{path}:3: counts must be integers"
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [("M1,1,5,0\nM1,2,x,0", "4: counts must be integers"),
+     ("M1,1,5,0\nM1,2,5", "4: expected 4 fields, got 3"),
+     ("M1,1,5,0\nM1,1,6,0", "4: duplicate cell (M1, 1)"),
+     # a quoted mission name that spans lines 3 and 4: the record starts on line 3
+     ('"M\n1",1,5,x\nM1,2,5,0', "3: counts must be integers")],
+    ids=["bad-count", "field-count", "duplicate-cell", "quoted-across-lines"],
+)
+def test_read_campaign_names_the_line_after_a_blank_line(tmp_path, records, message):
+    # line 2 is blank; an error names the line its record starts on
+    path = tmp_path / "blank.csv"
+    path.write_text(f"mission,phase,test_cases,bugs_detected\n\n{records}\n")
+    with pytest.raises(ValueError) as err:
+        read_campaign(path)
+    assert str(err.value) == f"{path}:{message}"
+
+
 def test_read_campaign_takes_counts_up_to_int64(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("mission,phase,test_cases,bugs_detected\n"
@@ -199,6 +216,38 @@ def test_thinned_draws_file_reads_rewrites_and_postprocesses(tmp_path):
     assert main(["diagnose", str(path), "--out", str(out)]) == 0
     trace = (out / "trace_total_bugs.csv").read_text().splitlines()
     assert [row.split(",")[1] for row in trace[1:6]] == ["5", "8", "11", "14", "17"]
+
+
+def test_per_candidate_draws_file_reads_and_postprocesses(tmp_path):
+    # earlier versions could record a candidate's include[i], size[i] and
+    # mean_size[i] rows; their files still read, rewrite and diagnose
+    rng = np.random.default_rng(33)
+    rows = {"inclusion_prob": rng.uniform(size=(2, 6)),
+            "total_bugs": rng.integers(3, 9, size=(2, 6)),
+            "remaining_size": rng.integers(0, 40, size=(2, 6)),
+            "include[0]": np.ones((2, 6)), "include[5]": rng.integers(0, 2, size=(2, 6)),
+            "size[0]": rng.integers(1, 30, size=(2, 6)),
+            "size[5]": rng.integers(0, 30, size=(2, 6)),
+            "mean_size[0]": rng.gamma(2.0, size=(2, 6)),
+            "mean_size[5]": rng.gamma(2.0, size=(2, 6))}
+    chainset = make_chainset(rows, burn_in=4)
+    path, rewritten = tmp_path / "draws.csv", tmp_path / "rewritten.csv"
+    write_draws(chainset, path)
+    loaded = read_draws(path)
+    assert loaded.names == list(rows)
+    assert loaded.draws.tobytes() == chainset.draws.tobytes()
+    write_draws(loaded, rewritten)
+    assert rewritten.read_bytes() == path.read_bytes()
+    out = tmp_path / "out"
+    assert main(["diagnose", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == [
+        "trace_include_0.csv", "trace_include_5.csv", "trace_inclusion_prob.csv",
+        "trace_mean_size_0.csv", "trace_mean_size_5.csv", "trace_remaining_size.csv",
+        "trace_size_0.csv", "trace_size_5.csv", "trace_total_bugs.csv"]
+    trace = (out / "trace_size_5.csv").read_text().splitlines()
+    assert trace[1:] == [f"{c},{4 + k},{float(rows['size[5]'][c, k])!r}"
+                         for c in range(2) for k in range(6)]
+    assert main(["reliability", str(path), "--epsilon", "10", "--out", str(out)]) == 0
 
 
 def test_draws_round_trip_numpy_scalar_acceptance(tmp_path, small_chainset):

@@ -29,7 +29,7 @@ from bugsize.sampler import (
     update_sizes,
 )
 from bugsize.simulate import generate_campaign
-from helpers import detection_loglik, flat_likelihood
+from helpers import detection_loglik, flat_likelihood, run_with_candidate_rows
 
 
 def single_cell_campaign():
@@ -72,7 +72,7 @@ def test_sampler_config_defaults_and_validation():
         SamplerConfig(seed=-1)
     # the run settings, and only these: a new one needs this line changed
     assert {f.name for f in fields(SamplerConfig)} == {
-        "chains", "iterations", "burn_in", "seed", "track", "workers"}
+        "chains", "iterations", "burn_in", "seed", "workers"}
 
 
 # ---------------------------------------------------- inclusion-prob draw
@@ -428,22 +428,22 @@ def test_run_chain_matches_reference_updates(monkeypatch):
     camp = TestCampaign(test_cases=[[40, 9, 70], [12, 55, 3]],
                         bugs_detected=[[4, 1, 2], [0, 3, 0]])
     config = ModelConfig(max_bugs=300)
-    scfg = SamplerConfig(chains=1, iterations=300, burn_in=100, seed=36,
-                         track=tuple(range(300)))
-    chain = run_all(camp, config, scfg)
+    scfg = SamplerConfig(chains=1, iterations=300, burn_in=100, seed=36)
+    chain = run_with_candidate_rows(camp, config, scfg, range(300))
     got, (got_acceptance,) = chain.draws[0], chain.acceptance
 
     monkeypatch.setattr(sampler, "update_inclusion", ref_update_inclusion)
     monkeypatch.setattr(sampler, "update_sizes", ref_update_sizes)
     monkeypatch.setattr(sampler, "update_mean_sizes", ref_update_mean_sizes)
-    chain = run_all(camp, config, scfg)
+    chain = run_with_candidate_rows(camp, config, scfg, range(300))
     want, (want_acceptance,) = chain.draws[0], chain.acceptance
     assert got.shape == (3 + 3 * 300, len(range(100, 300)))
     assert got.tobytes() == want.tobytes()
     assert got_acceptance == want_acceptance
     assert all(type(v) is float for v in got_acceptance.values())
-    # the recorded scalars are those of the kept states: every candidate is tracked,
-    # in the rows inclusion_prob, total_bugs, remaining_size, include[:], size[:], mean_size[:]
+    # the recorded scalars are those of the kept states: every candidate's state is
+    # recorded, in the rows inclusion_prob, total_bugs, remaining_size, include[:], size[:],
+    # mean_size[:]
     include, size = got[3:303].T, got[303:603].T
     hidden = np.arange(config.max_bugs) >= camp.detected_total
     assert np.array_equal(got[1], include.sum(axis=1))
@@ -455,8 +455,8 @@ def test_run_chain_matches_reference_updates(monkeypatch):
 def test_run_chain_deterministic():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=1, iterations=200, seed=123, track=(0, 1, 3, 4))
-    a, b = run_all(camp, config, scfg), run_all(camp, config, scfg)
+    scfg = SamplerConfig(chains=1, iterations=200, seed=123)
+    a, b = (run_with_candidate_rows(camp, config, scfg, (0, 1, 3, 4)) for _ in range(2))
     assert np.array_equal(a.draws, b.draws)
     assert a.acceptance == b.acceptance
 
@@ -510,16 +510,10 @@ def test_run_all_bookkeeping():
     chainset = run_all(camp, config, scfg)
     assert chainset.kept_per_chain == 5
     assert list(chainset.kept_iterations) == [5, 6, 7, 8, 9]
-    # by default only the posterior quantities are recorded
+    # a run records the posterior quantities and nothing per candidate
     assert chainset.names == ["inclusion_prob", "total_bugs", "remaining_size"]
     assert chainset.draws.shape == (1, 3, 5)
     assert chainset.seed_keys() == ["1:0"]
-    tracked = run_all(camp, config, replace(scfg, track=(0, 1, 2, 3)))
-    assert tracked.names == ["inclusion_prob", "total_bugs", "remaining_size",
-                             "include[0]", "include[1]", "include[2]", "include[3]",
-                             "size[0]", "size[1]", "size[2]", "size[3]",
-                             "mean_size[0]", "mean_size[1]", "mean_size[2]", "mean_size[3]"]
-    assert tracked.draws.shape == (1, 15, 5)
     # the kept grid follows the run settings: every sweep from an implied burn-in,
     # capped because half of 2,000 sweeps exceeds the cap
     capped = run_all(camp, config, SamplerConfig(chains=2, iterations=2_000, seed=1))
@@ -545,9 +539,10 @@ def test_chainset_rejects_draws_off_its_layout():
 @pytest.mark.parametrize("name", ["a,b", "x\n", "", "../escape", "size 1", "\u00e9"])
 def test_chainset_refuses_names_a_draws_file_cannot_hold(name):
     # a draws row is chain,iteration,parameter,value on one line, and a name
-    # maps to a trace file name; every recorded quantity's name passes
+    # maps to a trace file name; every recorded quantity's name passes, and so do
+    # the per-candidate names that earlier versions wrote
     settings = dict(acceptance=[{}], base_seed=0, iterations=1, burn_in=0, thin=1)
-    names = sampler._draw_names((0, 12))
+    names = [*sampler._DRAW_NAMES, "include[0]", "size[12]", "mean_size[12]"]
     ChainSet(names=names, draws=np.zeros((1, len(names), 1)), **settings)
     with pytest.raises(ValueError, match=r"^parameter name .* must be one or more ASCII "
                                          r"letters, digits, '_', '\[' or '\]'$"):
@@ -557,9 +552,8 @@ def test_chainset_refuses_names_a_draws_file_cannot_hold(name):
 def test_run_all_reproducible_and_chains_differ():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=6, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=3, iterations=400, seed=21, track=(0, 1, 4, 5))
-    first = run_all(camp, config, scfg)
-    second = run_all(camp, config, scfg)
+    scfg = SamplerConfig(chains=3, iterations=400, seed=21)
+    first, second = (run_with_candidate_rows(camp, config, scfg, (0, 1, 4, 5)) for _ in range(2))
     assert np.array_equal(first.draws, second.draws)
     assert not np.array_equal(first.draws[0], first.draws[1])
 
@@ -579,7 +573,7 @@ def test_run_all_chain_agreement():
 def test_run_all_parallel_matches_serial():
     camp = single_cell_campaign()
     config = ModelConfig(max_bugs=5, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=2, iterations=200, seed=5, track=(0, 1, 3, 4))
+    scfg = SamplerConfig(chains=2, iterations=200, seed=5)
     serial = run_all(camp, config, scfg)
     parallel = run_all(camp, config, replace(scfg, workers=2))
     assert serial.draws.tobytes() == parallel.draws.tobytes()
@@ -587,27 +581,22 @@ def test_run_all_parallel_matches_serial():
 
 
 def test_run_all_pool_raises_the_serial_input_error():
+    # numpy cannot draw sizes at this dispersion: each chain fails as it starts,
+    # in a worker when pooled, and the pool raises the serial run's error
     camp = single_cell_campaign()
-    config = ModelConfig(max_bugs=6)
+    config = ModelConfig(max_bugs=6, dispersion=1e-40)
     errors = []
     for workers in (1, 2):
-        scfg = SamplerConfig(chains=2, iterations=10, track=(99,), workers=workers)
+        scfg = SamplerConfig(chains=2, iterations=10, workers=workers)
         with pytest.raises(Exception) as err:
             run_all(camp, config, scfg)
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1]
-    assert errors[0] == (ValueError, "tracked candidate index 99 out of range for max_bugs=6")
+    assert errors[0][0] is ValueError
+    assert errors[0][1].startswith("dispersion 1e-40 is too small for numpy's negative-binomial")
 
 
-def test_run_chain_rejects_repeated_track_before_sampling(monkeypatch):
-    # a repeated index would record one column name twice
-    monkeypatch.setattr(sampler, "_start_chain", None)  # sampling would call it
-    with pytest.raises(ValueError, match=r"tracked candidate indices repeat: \(0, 3, 0\)"):
-        run_all(single_cell_campaign(), ModelConfig(max_bugs=6),
-                SamplerConfig(iterations=10, track=(0, 3, 0)))
-
-
-@pytest.mark.parametrize("case", ["low-ceiling", "repeated-track"])
+@pytest.mark.parametrize("case", ["low-ceiling", "no-testing-effort"])
 def test_run_all_refuses_bad_input_before_the_pool_starts(monkeypatch, case):
     def no_pool(workers):
         raise AssertionError("run_all entered _round_map")
@@ -615,13 +604,12 @@ def test_run_all_refuses_bad_input_before_the_pool_starts(monkeypatch, case):
     monkeypatch.setattr(sampler, "_round_map", no_pool)
     if case == "low-ceiling":
         camp = TestCampaign(test_cases=[[5]], bugs_detected=[[4]])
-        config, track = ModelConfig(max_bugs=2), ()
         message = "candidate ceiling 2 below detected count 4"
     else:
-        camp, config, track = single_cell_campaign(), ModelConfig(max_bugs=6), (0, 3, 0)
-        message = "tracked candidate indices repeat: (0, 3, 0)"
+        camp = TestCampaign(test_cases=[[0, 0]], bugs_detected=[[0, 0]])
+        message = "no testing effort: every cell has zero test cases"
     with pytest.raises(ValueError) as err:
-        run_all(camp, config, SamplerConfig(chains=2, iterations=10, track=track, workers=2))
+        run_all(camp, ModelConfig(max_bugs=2), SamplerConfig(chains=2, iterations=10, workers=2))
     assert str(err.value) == message
 
 
@@ -639,10 +627,9 @@ def test_run_all_refuses_a_fit_past_physical_memory(monkeypatch):
     # the estimate is a floor: a fit that needs exactly the memory there is runs
     monkeypatch.setattr(sampler, "_physical_memory", lambda: need)
     sampler._check_memory(ModelConfig(max_bugs=10**6), scfg)
-    # a tracked candidate adds its three rows to the kept draws
-    tracked = replace(scfg, track=(0,))
+    # one more kept sweep adds its three rows per chain to the kept draws
     with pytest.raises(ValueError, match="needs at least"):
-        sampler._check_memory(ModelConfig(max_bugs=10**6), tracked)
+        sampler._check_memory(ModelConfig(max_bugs=10**6), replace(scfg, iterations=101))
 
 
 # workers see a monkeypatched advance only when forked from this process
@@ -721,7 +708,7 @@ SCHEDULE_MODEL = ModelConfig(max_bugs=9, mean_size_shape=2.0, mean_size_rate=1.0
 
 
 def test_advance_in_pieces_matches_run_chain():
-    scfg = SamplerConfig(iterations=40, burn_in=9, seed=8, track=(0, 4, 8))
+    scfg = SamplerConfig(iterations=40, burn_in=9, seed=8)
     n, t_max = SCHEDULE_CAMPAIGN.detected_total, SCHEDULE_CAMPAIGN.t_max
     whole = sampler._start_chain(n, SCHEDULE_MODEL, np.random.default_rng(81))
     table, whole = sampler.run_chain(n, t_max, SCHEDULE_MODEL, scfg, whole, 40)
@@ -733,6 +720,7 @@ def test_advance_in_pieces_matches_run_chain():
         parts.append(part)
     assert [p.shape[1] for p in parts] == [0, 0, 0, 14, 17]
     assert np.concatenate(parts, axis=1).tobytes() == table.tobytes()
+    assert_same_bits(run.state, whole.state)
     assert sampler._finish_chain(scfg, run) == sampler._finish_chain(scfg, whole)
 
 
@@ -755,10 +743,10 @@ def test_serial_run_all_drops_a_finished_chain_before_the_next_starts(monkeypatc
 @pytest.mark.parametrize(
     "chains, workers, settings",
     [
-        (3, 2, dict(iterations=41, burn_in=25, track=(0, 1, 7, 8))),
-        (4, 3, dict(iterations=50, burn_in=20, track=(0, 1, 7, 8))),
-        (5, 4, dict(iterations=3, burn_in=1, track=(0, 1, 7, 8))),
-        (2, 2, dict(iterations=31, track=tuple(range(9)))),
+        (3, 2, dict(iterations=41, burn_in=25)),
+        (4, 3, dict(iterations=50, burn_in=20)),
+        (5, 4, dict(iterations=3, burn_in=1)),
+        (2, 2, dict(iterations=31)),
         (4, 2, dict(iterations=30, burn_in=7)),
     ],
     ids=["3-on-2-handed-between-workers", "4-on-3", "5-on-4-fewer-sweeps-than-workers",
@@ -778,8 +766,7 @@ def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
 def test_fit_reads_the_campaign_only_as_its_detected_count_and_t_max(workers):
     # n = 4 and t_max = 6 in both, from different grids
     regridded = TestCampaign(test_cases=[[1, 6, 0]], bugs_detected=[[0, 0, 4]])
-    scfg = SamplerConfig(chains=3, iterations=30, burn_in=5, seed=21, workers=workers,
-                         track=(0, 4, 8))
+    scfg = SamplerConfig(chains=3, iterations=30, burn_in=5, seed=21, workers=workers)
 
     def fit(campaign, model=SCHEDULE_MODEL):
         chainset = run_all(campaign, model, scfg)
@@ -795,18 +782,6 @@ def test_fit_reads_the_campaign_only_as_its_detected_count_and_t_max(workers):
         flat = fit(SCHEDULE_CAMPAIGN)
         assert fit(longer) == flat
         assert fit(SCHEDULE_CAMPAIGN, replace(SCHEDULE_MODEL, size_exponent=0.7)) == flat
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_default_track_records_the_scalar_rows_of_a_full_track_run(workers):
-    # recording draws no random numbers and changes no state, so tracking
-    # every candidate leaves the three posterior rows as they are
-    scfg = SamplerConfig(chains=3, iterations=60, burn_in=20, seed=17, workers=workers)
-    default = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, scfg)
-    full = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, replace(scfg, track=tuple(range(9))))
-    assert default.names == full.names[:3] == ["inclusion_prob", "total_bugs", "remaining_size"]
-    assert default.draws.tobytes() == full.draws[:, :3].tobytes()
-    assert default.acceptance == full.acceptance
 
 
 @needs_fork
@@ -860,9 +835,9 @@ def test_run_all_starts_when_prior_sizes_are_all_zero():
     # 0; detected candidates start at size 1, the smallest detectable size,
     # and keep it
     camp = TestCampaign(test_cases=[[5, 2]], bugs_detected=[[2, 1]])
-    scfg = SamplerConfig(chains=2, iterations=5, seed=3, track=(0, 2, 3))
+    scfg = SamplerConfig(chains=2, iterations=5, seed=3)
     tiny_means = ModelConfig(max_bugs=6, mean_size_shape=1.0, mean_size_rate=1e9)
-    chainset = run_all(camp, tiny_means, scfg)
+    chainset = run_with_candidate_rows(camp, tiny_means, scfg, (0, 2, 3))
     assert np.all(chainset.matrix("size[0]") == 1) and np.all(chainset.matrix("size[2]") == 1)
     assert np.all(chainset.matrix("size[3]") == 0)
     assert np.all(chainset.matrix("remaining_size") == 0)
@@ -872,8 +847,8 @@ def test_kept_state_invariants():
     camp = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[2, 1]])
     m = 12
     config = ModelConfig(max_bugs=m, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=2, iterations=500, seed=23, track=tuple(range(m)))
-    chainset = run_all(camp, config, scfg)
+    scfg = SamplerConfig(chains=2, iterations=500, seed=23)
+    chainset = run_with_candidate_rows(camp, config, scfg, range(m))
     n = camp.detected_total
     totals = chainset.matrix("total_bugs")
     remaining = chainset.matrix("remaining_size")
@@ -888,8 +863,8 @@ def test_kept_state_invariants():
 def test_summarized_fit_ess_within_inflation_allowance():
     camp = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[2, 1]])
     config = ModelConfig(max_bugs=12, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    scfg = SamplerConfig(chains=3, iterations=3000, seed=24, track=(0, 1, 10, 11))
-    chainset = run_all(camp, config, scfg)
+    scfg = SamplerConfig(chains=3, iterations=3000, seed=24)
+    chainset = run_with_candidate_rows(camp, config, scfg, (0, 1, 10, 11))
     from bugsize.diagnostics import summarize
 
     report = summarize(chainset)

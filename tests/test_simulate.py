@@ -3,9 +3,9 @@ import pytest
 
 from bugsize.diagnostics import summarize
 from bugsize.model import ModelConfig, detection_prob
-from bugsize.sampler import SamplerConfig, run_all
+from bugsize.sampler import SamplerConfig
 from bugsize.simulate import generate_campaign
-from helpers import same_campaign
+from helpers import run_with_candidate_rows, same_campaign
 
 
 def small_config(**kwargs):
@@ -93,8 +93,8 @@ def test_recovery_across_decay_exponents(nu, seed):
     config = ModelConfig(max_bugs=120, size_exponent=nu, dispersion=50.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     campaign, truth = generate_campaign(config, 6, 3, 30, (0, 50), rng)
-    scfg = SamplerConfig(chains=2, iterations=1500, seed=seed, track=(0, 1, 118, 119))
-    chainset = run_all(campaign, config, scfg)
+    scfg = SamplerConfig(chains=2, iterations=1500, seed=seed)
+    chainset = run_with_candidate_rows(campaign, config, scfg, (0, 1, 118, 119))
     report = summarize(chainset)
     assert campaign.detected_total <= truth.true_bugs == 30
     # default-prior sizes are ~100, so nearly everything real gets caught
