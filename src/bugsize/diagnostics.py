@@ -174,15 +174,17 @@ def _beta_fraction(a: float, b: float, x: float, lam: float) -> float:
 
 
 def _f_tail(a: float, b: float, t: float) -> tuple[float, float]:
-    """Pr(F > e**t) for F(2a, 2b), and minus its derivative in t."""
+    """Pr(F > e**t) for F(2a, 2b), and minus its derivative in t, for t >= 0.
+
+    The upper tail I_{1-y}(b, a), whose lam is >= 0 from F = 1 up: ``_isf``
+    starts at t = 0, where Pr(F > 1) >= 0.39 for odd 2a >= 3, far above
+    split R-hat's alpha, so it searches no lower.
+    """
     x = math.exp(t)
     r = a * x / b  # odds of the beta variate y = 2a x / (2a x + 2b)
     front = math.exp(_log_beta_front(a, b, r))
-    # lam of the upper tail I_{1-y}(b, a); the lower tail's is its negative
     lam = a * (x - 1.0) / (1.0 + r)
-    if lam >= 0.0:
-        return front * _beta_fraction(b, a, 1.0 / (1.0 + r), lam), front
-    return 1.0 - front * _beta_fraction(a, b, r / (1.0 + r), -lam), front
+    return front * _beta_fraction(b, a, 1.0 / (1.0 + r), lam), front
 
 
 def _chi2_tail(k: int, t: float) -> tuple[float, float]:

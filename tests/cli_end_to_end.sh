@@ -29,7 +29,11 @@
 # no traceback and no output directory; a pooled fit writes the serial fit's
 # draws and report byte for byte; two campaigns of different grids with the
 # same detected count n and largest test-case count t_max fit to the same
-# draws and report byte for byte.  Exits non-zero at the first failure.
+# draws and report byte for byte; building the bundled flight campaign loads
+# no numpy.random module that import numpy did not, a check that imports
+# bugsize with COMMAND's interpreter when COMMAND is "PYTHON -m bugsize", else
+# with python3.
+# Exits non-zero at the first failure.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -37,6 +41,8 @@ if [ "$#" -eq 0 ]; then
   exit 2
 fi
 bugsize=("$@")
+python=python3
+if [ "$#" -ge 3 ] && [ "$2" = -m ]; then python=$1; fi
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
@@ -106,6 +112,23 @@ for command in "reliability draws.csv --epsilon 100" "diagnose draws.csv" \
     exit 1
   fi
 done
+
+# the bundled campaign is stored counts, so building it draws nothing.  numpy
+# 1.x loads numpy.random with numpy itself and 2.x on first use, so only the
+# modules added after import numpy count
+"$python" - <<'EOF'
+import sys
+
+import numpy
+
+before = set(sys.modules)
+from bugsize.datasets import flight_software_campaign
+
+flight_software_campaign()
+added = sorted(name for name in set(sys.modules) - before
+               if name == "numpy.random" or name.startswith("numpy.random."))
+assert not added, f"building the bundled campaign loaded {added}"
+EOF
 
 # an infinite detection rate means certain detection, not a numpy warning
 "${bugsize[@]}" fit "$out/campaign.csv" --iters 20 --max-bugs 80 --nu 1000 --threads 1 \

@@ -1,7 +1,14 @@
+import hashlib
+
 import numpy as np
 
+from bugsize.dataio import write_campaign
 from bugsize.datasets import flight_software_campaign
 from helpers import same_campaign
+
+# sha256 of write_campaign(flight_software_campaign()): the campaign CSV that
+# the flight-fit benchmark, acceptance criterion 6 and demo 04 fit
+CAMPAIGN_SHA256 = "797d224fd8d64ea8a2212562f25564b044b27b6e4498d874f242dce39a4ff8d0"
 
 
 def test_flight_campaign_shape_and_anchors():
@@ -23,3 +30,9 @@ def test_flight_campaign_deterministic():
     assert same_campaign(a, b)
     assert a.t_max == 175
     assert np.all(a.test_cases >= 0)
+
+
+def test_flight_campaign_file_is_pinned(tmp_path):
+    path = tmp_path / "campaign.csv"
+    write_campaign(flight_software_campaign(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CAMPAIGN_SHA256

@@ -10,6 +10,8 @@ from scipy import stats
 from bugsize.diagnostics import (
     RHAT_CONFIDENCE,
     _f_isf,
+    _f_tail,
+    _isf,
     effective_sample_size,
     split_rhat,
     summarize,
@@ -125,9 +127,28 @@ def test_quantiles_match_closed_forms():
         NormalDist().inv_cdf(1.0 - ALPHA / 2.0) ** 2, rel=1e-13, abs=0.0)
 
 
+def test_f_quantile_search_never_looks_below_one():
+    # _f_tail sums only the upper tail, valid for F >= 1.  The search starts at
+    # F = 1, where the tail is at least 0.39 for the odd dfn of 2 to 16 chains,
+    # far above alpha, so it never steps lower
+    for dfn in range(3, 33, 2):
+        for dfd in np.logspace(-3, 9, 49):
+            tail = stats.f.sf(1.0, dfn, dfd)
+            assert tail >= 0.39, (dfn, dfd)
+            assert _f_tail(dfn / 2.0, dfd / 2.0, 0.0)[0] == pytest.approx(tail, rel=1e-13)
+        for dfd in (0.5, 1.0, 2.0, 20.0, 1e3, 1e6, 1e9, 1e15):
+            visited = []
+            _isf(lambda t: visited.append(t) or _f_tail(dfn / 2.0, dfd / 2.0, t), ALPHA)
+            assert visited[0] == min(visited) == 0.0, (dfn, dfd)
+
+
 def test_split_rhat_input_validation():
     with pytest.raises(ValueError, match="two chains"):
         split_rhat(np.ones((1, 50)))
+    with pytest.raises(ValueError, match="two chains"):  # a 1-D input is one chain
+        split_rhat(np.ones(50))
+    with pytest.raises(ValueError, match="equal-length 1-D draw sequences"):
+        split_rhat(np.ones((2, 3, 50)))
     with pytest.raises(ValueError, match="at least 4"):
         split_rhat(np.ones((2, 3)))
     with pytest.raises(ValueError, match="same length"):

@@ -138,6 +138,8 @@ def test_cell_probabilities_sum_to_one():
 def test_cell_probabilities_errors():
     with pytest.raises(ValueError, match="no testing effort"):
         cell_probabilities([[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="test-case counts must be non-negative"):
+        cell_probabilities([[3, -1], [2, 0]])
 
 
 # ------------------------------------------------------- detection kernel

@@ -63,8 +63,12 @@ def test_sampler_config_defaults_and_validation():
     assert SamplerConfig(iterations=401).effective_burn_in == 200
     assert SamplerConfig(iterations=10, burn_in=5).effective_burn_in == 5
     assert SamplerConfig(iterations=50_000, burn_in=25_000).effective_burn_in == 25_000
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least one chain$"):
         SamplerConfig(chains=0)
+    with pytest.raises(ValueError, match=r"^need at least one iteration$"):
+        SamplerConfig(iterations=0)
+    with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+        SamplerConfig(workers=0)
     with pytest.raises(ValueError):
         SamplerConfig(iterations=10, burn_in=10)
     # numpy seeds from any non-negative integer; a negative one fails by name here

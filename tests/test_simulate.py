@@ -76,6 +76,8 @@ def test_generate_campaign_input_validation():
     rng = np.random.default_rng(55)
     with pytest.raises(ValueError, match="ceiling"):
         generate_campaign(config, 3, 2, 100, (0, 10), rng)
+    with pytest.raises(ValueError, match="true_bugs must be non-negative"):
+        generate_campaign(config, 3, 2, -1, (0, 10), rng)
     with pytest.raises(ValueError):
         generate_campaign(config, 3, 2, 10, (5, 2), rng)
     with pytest.raises(ValueError, match="testing effort"):
