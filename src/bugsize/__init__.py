@@ -23,7 +23,6 @@ _HOMES = {
     "SamplerConfig": "sampler",
     "TestCampaign": "model",
     "cell_probabilities": "model",
-    "chain_reliability": "reliability",
     "detection_prob": "model",
     "generate_campaign": "simulate",
     "nb_log_pmf": "model",

@@ -133,7 +133,7 @@ def write_draws(chainset: ChainSet, path) -> None:
     lines = [DRAWS_STAMP]
     lines.append(
         f"# meta chains={chainset.n_chains} iterations={chainset.iterations} "
-        f"burn_in={chainset.burn_in} thin={chainset.thin} base_seed={chainset.base_seed}"
+        f"burn_in={chainset.burn_in} thin=1 base_seed={chainset.base_seed}"
     )
     for c, (acceptance, seed_key) in enumerate(zip(chainset.acceptance, chainset.seed_keys())):
         acc = " ".join(f"{k}={repr(float(v))}" for k, v in acceptance.items())
@@ -155,9 +155,10 @@ def read_draws(path) -> ChainSet:
     ``# chain`` lines must name chains ``0..chains-1`` in order.  Rows must
     come in the order ``write_draws`` gives them: chain ``0..chains-1``,
     then parameter (chain 0's blocks name the parameters), then the kept
-    iterations ``range(burn_in, iterations, thin)`` of the meta line.  A
-    chain's ``seed=`` token is skipped: the seed key follows from the base
-    seed and the chain id.  Every number follows :func:`_parse_token`'s rule.
+    iterations ``range(burn_in, iterations)`` of the meta line, whose
+    ``thin`` must be 1.  A chain's ``seed=`` token is skipped: the seed key
+    follows from the base seed and the chain id.  Every number follows
+    :func:`_parse_token`'s rule.
     """
     lines = _read_text(path, "utf-8").splitlines()
     stamp = lines[0].strip() if lines else "<empty>"
@@ -202,11 +203,11 @@ def read_draws(path) -> ChainSet:
     if missing:
         raise ValueError(f"{path}: no '# meta' line gives {', '.join(missing)}")
     # the checks below name the last meta line read
-    if meta["thin"] < 1:
-        raise ValueError(f"{meta_at}: meta thin must be >= 1, got {meta['thin']}")
+    if meta["thin"] != 1:
+        raise ValueError(f"{meta_at}: meta thin must be 1, got {meta['thin']}")
     if meta["burn_in"] < 0:
         raise ValueError(f"{meta_at}: meta burn_in must be >= 0, got {meta['burn_in']}")
-    kept = range(meta["burn_in"], meta["iterations"], meta["thin"])
+    kept = range(meta["burn_in"], meta["iterations"])
     if not kept:
         raise ValueError(f"{meta_at}: the meta line keeps no iterations: {kept!r}")
     if len(acceptance) != meta["chains"]:
@@ -242,7 +243,7 @@ def read_draws(path) -> ChainSet:
     try:
         return ChainSet(names=names, draws=draws, acceptance=acceptance,
                         base_seed=meta["base_seed"], iterations=meta["iterations"],
-                        burn_in=meta["burn_in"], thin=meta["thin"])
+                        burn_in=meta["burn_in"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -316,7 +317,7 @@ def build_report(report: dict, chainset: ChainSet, model_config) -> dict:
                 "chains": chainset.n_chains,
                 "iterations": chainset.iterations,
                 "burn_in": chainset.burn_in,
-                "thin": chainset.thin,
+                "thin": 1,
                 "seed": chainset.base_seed,
             },
         },

@@ -13,29 +13,17 @@ import numpy as np
 
 from .sampler import ChainSet
 
-__all__ = ["chain_reliability", "reliability_curve"]
-
-
-def chain_reliability(chainset: ChainSet, epsilon: float) -> list[float]:
-    """Per-chain reliability estimates at one threshold, for stability checks."""
-    _, r = _checked(chainset, [epsilon])
-    return (np.count_nonzero(r < epsilon, axis=1) / r.shape[1]).tolist()
+__all__ = ["reliability_curve"]
 
 
 def reliability_curve(chainset: ChainSet, epsilons) -> list[tuple[float, float]]:
     """Pointwise reliability over a strictly increasing threshold grid.
 
-    Returns (threshold, probability) pairs; the probabilities are
-    nondecreasing because the underlying event only grows with the
-    threshold.  Owns this module's threshold rule (see :func:`_checked`).
+    The grid must be non-empty, strictly increasing and of non-negative
+    numbers, and the chain set must hold kept draws.  Returns (threshold,
+    probability) pairs; the probabilities are nondecreasing because the
+    underlying event only grows with the threshold.
     """
-    eps, r = _checked(chainset, epsilons)
-    return [(float(e), float(np.count_nonzero(r < e) / r.size)) for e in eps]
-
-
-def _checked(chainset: ChainSet, epsilons) -> tuple[np.ndarray, np.ndarray]:
-    """The threshold grid and the (chains, kept) remaining-size draws, once checked:
-    a non-empty, strictly increasing grid of non-negative numbers, over kept draws."""
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("need at least one threshold")
@@ -50,4 +38,4 @@ def _checked(chainset: ChainSet, epsilons) -> tuple[np.ndarray, np.ndarray]:
     r = chainset.matrix("remaining_size")
     if r.size == 0:
         raise ValueError("chain set holds no kept draws")
-    return eps, r
+    return [(float(e), float(np.count_nonzero(r < e) / r.size)) for e in eps]

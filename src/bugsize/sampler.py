@@ -117,9 +117,8 @@ class ChainSet:
     iteration ``kept_iterations[k]``: a float array of shape (chains,
     parameters, kept), in the order the draws file lists it.  A chain's id
     is its position, and ``acceptance[c]`` holds chain ``c``'s acceptance
-    rates.  ``thin`` is 1 except in a v1 file that an earlier ``fit --thin`` wrote.
-    A name is one or more ASCII letters, digits, ``_``, ``[`` or ``]``, so
-    it fits a draws row and a trace file name.
+    rates.  A name is one or more ASCII letters, digits, ``_``, ``[`` or
+    ``]``, so it fits a draws row and a trace file name.
     """
 
     names: list[str]
@@ -128,7 +127,6 @@ class ChainSet:
     base_seed: int
     iterations: int
     burn_in: int
-    thin: int
 
     def __post_init__(self):
         shape = (len(self.acceptance), len(self.names), self.kept_per_chain)
@@ -149,7 +147,7 @@ class ChainSet:
 
     @property
     def kept_iterations(self) -> range:
-        return range(self.burn_in, self.iterations, self.thin)
+        return range(self.burn_in, self.iterations)
 
     @property
     def kept_per_chain(self) -> int:
@@ -493,5 +491,5 @@ def run_all(
         names=list(_DRAW_NAMES),
         draws=np.stack([np.concatenate(p, axis=1) for p in parts]), acceptance=runs,
         base_seed=sampler_config.seed, iterations=sampler_config.iterations,
-        burn_in=sampler_config.effective_burn_in, thin=1,
+        burn_in=sampler_config.effective_burn_in,
     )

@@ -19,7 +19,7 @@ def make_chainset(arrays_by_param, burn_in=0):
         names=list(arrays_by_param),
         draws=draws,
         acceptance=[{"size": 1.0} for _ in range(n_chains)],
-        base_seed=0, iterations=burn_in + kept, burn_in=burn_in, thin=1,
+        base_seed=0, iterations=burn_in + kept, burn_in=burn_in,
     )
 
 

@@ -218,6 +218,8 @@ PINNED_SHA256 = {
     "campaign.csv": "b2846ef959057e8726bed1f79be37425b33d053d9839b8666e7e185887c22974",
     "draws.csv": "e92b28bfc19aeaaf10cef1a10cc9b57e256d2b93302f2cde707e5a3886a17bf2",
     "reliability.csv": "989488c7efdf2bf569dec9ad270cc0db8b58970259ae3826b59305ffaa6c6fc9",
+    "report.json": "0bd39f86dde4f230e949d174450f8881bd0e7ad2dd4d8546b8953470e28e8963",
+    "truth.json": "480fcc42ddcf31fff6162069f1b3cdddc02c934d5198b1d8c6b5b7f9583705ce",
 }
 
 

@@ -57,6 +57,15 @@ def test_simulate_writes_campaign_and_truth(tmp_path, capsys):
     assert "detected=" in capsys.readouterr().out
 
 
+def test_simulate_defaults_echo_in_truth(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out)]) == 0
+    truth = json.loads((out / "truth.json").read_text())
+    assert (truth["seed"], truth["true_bugs"]) == (0, 100)
+    assert truth["config"] == {"missions": 30, "phases": 8, "max_bugs": 400,
+                               "size_exponent": 1.5, "dispersion": 50.0, "t_range": [0, 50]}
+
+
 def test_simulate_no_real_bugs(tmp_path):
     out = tmp_path / "sim0"
     assert main(["simulate", "--true-bugs", "0", "--missions", "3", "--phases", "2",
@@ -234,15 +243,19 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["campaign-grouped-test-cases", "campaign-huge-detections",
-                                  "epsilon-inf", "epsilon-grouped", "epsilon-empty-inner",
+                                  "campaign-detections-2-to-the-63",
+                                  "campaign-test-cases-below-int64", "epsilon-inf", "epsilon-grouped", "epsilon-empty-inner",
                                   "epsilon-empty-last"])
 def test_malformed_numbers_exit_one_with_one_error_line(tmp_path, capsys, case):
     campaign = small_campaign_file(tmp_path)
     lines = campaign.read_text().splitlines()
     if case.startswith("campaign"):
         # one cell's test_cases or bugs_detected field, as read_campaign parses them
+        # int64 runs from -2**63 to 2**63 - 1
         field = {"campaign-grouped-test-cases": (2, "1_0"),
-                 "campaign-huge-detections": (3, "99999999999999999999")}[case]
+                 "campaign-huge-detections": (3, "99999999999999999999"),
+                 "campaign-detections-2-to-the-63": (3, str(2**63)),
+                 "campaign-test-cases-below-int64": (2, str(-(2**63) - 1))}[case]
         row = lines[1].split(",")
         row[field[0]] = field[1]
         lines[1] = ",".join(row)

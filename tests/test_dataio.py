@@ -68,6 +68,14 @@ def test_read_campaign_skips_a_byte_order_mark(tmp_path):
     assert same_campaign(read_campaign(marked), read_campaign(plain))
 
 
+def test_read_campaign_counts_a_leading_newline_as_line_one(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\nmission,phase,test_cases,bugs_detected\nM1,1,8,\xff\n")
+    with pytest.raises(ValueError) as err:
+        read_campaign(path)
+    assert str(err.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
+
+
 def test_read_campaign_errors(tmp_path):
     path = tmp_path / "bad.csv"
 
@@ -165,7 +173,6 @@ def test_draws_round_trip(tmp_path, small_chainset):
     assert loaded.base_seed == chainset.base_seed
     assert loaded.iterations == chainset.iterations
     assert loaded.burn_in == chainset.burn_in
-    assert loaded.thin == chainset.thin
     assert loaded.kept_iterations == chainset.kept_iterations == range(20, 40)
     assert loaded.names == chainset.names
     assert loaded.seed_keys() == chainset.seed_keys() == ["60:0", "60:1", "60:2"]
@@ -196,26 +203,32 @@ def test_fitted_draws_file_rewrites_byte_for_byte(tmp_path):
     assert rewritten.read_bytes() == fitted.read_bytes()
 
 
-def test_thinned_draws_file_reads_rewrites_and_postprocesses(tmp_path):
-    # fit keeps every sweep, but a v1 file may keep every thin-th one from its burn-in on
+@pytest.mark.parametrize("command, extra", [("diagnose", ()),
+                                            ("reliability", ("--epsilon", "10,40"))],
+                         ids=["diagnose", "reliability"])
+def test_thinned_draws_file_is_refused(tmp_path, capsys, command, extra):
+    # a fit keeps every sweep from its burn-in on; a file that keeps every
+    # third one is refused at its meta line, before anything is written
     rng = np.random.default_rng(29)
     chainset = ChainSet(names=["inclusion_prob", "total_bugs", "remaining_size"],
-                        draws=rng.uniform(0.0, 50.0, size=(3, 3, 5)),
+                        draws=rng.uniform(0.0, 50.0, size=(3, 3, 15)),
                         acceptance=[{"size": 0.5, "mean_size": 0.25}] * 3,
-                        base_seed=4, iterations=20, burn_in=5, thin=3)
-    path, rewritten = tmp_path / "draws.csv", tmp_path / "rewritten.csv"
+                        base_seed=4, iterations=20, burn_in=5)
+    path = tmp_path / "draws.csv"
     write_draws(chainset, path)
-    assert "\n# meta chains=3 iterations=20 burn_in=5 thin=3 base_seed=4\n" in path.read_text()
-    loaded = read_draws(path)
-    assert loaded.kept_iterations == range(5, 20, 3)
-    assert loaded.draws.tobytes() == chainset.draws.tobytes()
-    write_draws(loaded, rewritten)
-    assert rewritten.read_bytes() == path.read_bytes()
+    text = path.read_text()
+    assert "\n# meta chains=3 iterations=20 burn_in=5 thin=1 base_seed=4\n" in text
+    # what an earlier fit --thin 3 wrote: the rows of sweeps 5, 8, 11, 14 and 17
+    thinned = [l for l in text.splitlines(keepends=True)
+               if not l[0].isdigit() or int(l.split(",")[1]) % 3 == 2]
+    path.write_text("".join(thinned).replace(" thin=1 ", " thin=3 "))
     out = tmp_path / "out"
-    assert main(["reliability", str(path), "--epsilon", "10,40", "--out", str(out)]) == 0
-    assert main(["diagnose", str(path), "--out", str(out)]) == 0
-    trace = (out / "trace_total_bugs.csv").read_text().splitlines()
-    assert [row.split(",")[1] for row in trace[1:6]] == ["5", "8", "11", "14", "17"]
+    capsys.readouterr()
+    assert main([command, str(path), *extra, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bugsize: error: {path}:2: meta thin must be 1, got 3\n"
+    assert not out.exists()
 
 
 def test_per_candidate_draws_file_reads_and_postprocesses(tmp_path):
@@ -299,7 +312,7 @@ def test_draws_empty_chainset(tmp_path):
     from bugsize.sampler import ChainSet
 
     empty = ChainSet(names=[], draws=np.empty((0, 0, 5)), acceptance=[],
-                     base_seed=5, iterations=10, burn_in=5, thin=1)
+                     base_seed=5, iterations=10, burn_in=5)
     path = tmp_path / "empty.csv"
     write_draws(empty, path)
     loaded = read_draws(path)
@@ -402,7 +415,7 @@ def test_read_draws_rejects_a_repeated_parameter(tmp_path, small_chainset):
         ("# meta chains=3 iterations=40 burn_in=20 thin=1 base_seed=60\n", "",
          ": no '# meta' line gives chains, iterations, burn_in, thin, base_seed"),
         (" base_seed=60", "", ": no '# meta' line gives base_seed"),
-        ("thin=1", "thin=0", ":{edited}: meta thin must be >= 1, got 0"),
+        ("thin=1", "thin=0", ":{edited}: meta thin must be 1, got 0"),
         ("burn_in=20", "burn_in=10", ":{first}: expected a row starting '0,10,', got {first_row}"),
         ("\n0,25,total_bugs,", "\n0,26,total_bugs,",
          ":{edited}: expected a row starting '0,25,total_bugs,', got {edited_row}"),

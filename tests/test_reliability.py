@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from bugsize.model import ModelConfig, TestCampaign
-from bugsize.reliability import chain_reliability, reliability_curve
-from bugsize.sampler import SamplerConfig, run_all
+from bugsize.reliability import reliability_curve
 from helpers import make_chainset
 
 
@@ -24,23 +22,9 @@ def test_reliability_pooled_equals_weighted_chain_mean():
     rng = np.random.default_rng(41)
     draws = rng.integers(0, 300, size=(3, 400)).astype(float)
     cs = make_chainset({"remaining_size": draws})
-    per_chain = chain_reliability(cs, 120.0)
     # the count-weighted mean of per-chain estimates, in exact integer form
     counts = [np.count_nonzero(c < 120.0) for c in draws]
-    assert per_chain == [count / 400 for count in counts]
     assert reliability_curve(cs, [120.0])[0][1] == sum(counts) / draws.size
-
-
-def test_chain_reliability_of_a_fit_counts_each_chain():
-    camp = TestCampaign(test_cases=[[6, 2]], bugs_detected=[[1, 1]])
-    config = ModelConfig(max_bugs=8, mean_size_shape=2.0, mean_size_rate=1.0, dispersion=5.0)
-    cs = run_all(camp, config, SamplerConfig(chains=3, iterations=200, burn_in=50, seed=43))
-    at = cs.names.index("remaining_size")
-    for epsilon in (0.0, 1.0, 3.0, 1e9):
-        counts = [int(np.count_nonzero(cs.draws[c, at] < epsilon)) for c in range(3)]
-        per_chain = chain_reliability(cs, epsilon)
-        assert per_chain == [count / 150 for count in counts]
-        assert all(type(v) is float for v in per_chain)
 
 
 def test_reliability_monotone_in_threshold():
@@ -56,8 +40,9 @@ def test_reliability_monotone_in_threshold():
 def test_reliability_curve_single_point_and_errors():
     cs = make_chainset({"remaining_size": np.ones((2, 10)) * 5.0})
     assert reliability_curve(cs, [10.0]) == [(10.0, 1.0)]
-    with pytest.raises(ValueError, match="strictly increasing"):
-        reliability_curve(cs, [100.0, 50.0])
+    for grid in ([100.0, 50.0], [100.0, 100.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            reliability_curve(cs, grid)
     with pytest.raises(ValueError):
         reliability_curve(cs, [])
     with pytest.raises(ValueError, match="non-negative"):
@@ -66,8 +51,6 @@ def test_reliability_curve_single_point_and_errors():
 
 def test_reliability_rejects_nan_thresholds():
     cs = make_chainset({"remaining_size": np.ones((2, 10)) * 5.0})
-    with pytest.raises(ValueError, match="nan"):
-        chain_reliability(cs, float("nan"))
     # NaN compares false, so it would slip past the strictly-increasing check
     for grid in ([float("nan"), 100.0], [100.0, float("nan")], [float("nan")]):
         with pytest.raises(ValueError, match="nan"):

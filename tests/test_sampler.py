@@ -1,9 +1,14 @@
 import contextlib
+import hashlib
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import weakref
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +67,7 @@ def test_sampler_config_defaults_and_validation():
     assert SamplerConfig(iterations=300).effective_burn_in == 150
     assert SamplerConfig(iterations=401).effective_burn_in == 200
     assert SamplerConfig(iterations=10, burn_in=5).effective_burn_in == 5
+    assert SamplerConfig(iterations=1).effective_burn_in == 0  # one sweep, kept
     assert SamplerConfig(iterations=50_000, burn_in=25_000).effective_burn_in == 25_000
     with pytest.raises(ValueError, match=r"^need at least one chain$"):
         SamplerConfig(chains=0)
@@ -526,7 +532,7 @@ def test_run_all_bookkeeping():
 
 
 def test_chainset_rejects_draws_off_its_layout():
-    settings = dict(acceptance=[{}, {}], base_seed=0, iterations=4, burn_in=0, thin=1)
+    settings = dict(acceptance=[{}, {}], base_seed=0, iterations=4, burn_in=0)
     chainset = ChainSet(names=["a", "b"], draws=np.arange(16.0).reshape(2, 2, 4), **settings)
     assert np.array_equal(chainset.matrix("b"), [[4, 5, 6, 7], [12, 13, 14, 15]])
     with pytest.raises(KeyError, match="unknown parameter 'c'; tracked: a, b"):
@@ -545,7 +551,7 @@ def test_chainset_refuses_names_a_draws_file_cannot_hold(name):
     # a draws row is chain,iteration,parameter,value on one line, and a name
     # maps to a trace file name; every recorded quantity's name passes, and so do
     # the per-candidate names that earlier versions wrote
-    settings = dict(acceptance=[{}], base_seed=0, iterations=1, burn_in=0, thin=1)
+    settings = dict(acceptance=[{}], base_seed=0, iterations=1, burn_in=0)
     names = [*sampler._DRAW_NAMES, "include[0]", "size[12]", "mean_size[12]"]
     ChainSet(names=names, draws=np.zeros((1, len(names), 1)), **settings)
     with pytest.raises(ValueError, match=r"^parameter name .* must be one or more ASCII "
@@ -763,6 +769,37 @@ def test_run_all_segmented_pool_matches_serial(chains, workers, settings):
                      SamplerConfig(chains=chains, seed=13, workers=workers, **settings))
     assert serial.draws.tobytes() == pooled.draws.tobytes()
     assert serial.acceptance == pooled.acceptance
+
+
+POOLED_RUN = """\
+import hashlib, multiprocessing, sys
+from bugsize.model import ModelConfig, TestCampaign
+from bugsize.sampler import SamplerConfig, run_all
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    chainset = run_all(TestCampaign(test_cases={test_cases}, bugs_detected={bugs_detected}),
+                       ModelConfig(**{model}), SamplerConfig(workers=2, **{settings}))
+    print(hashlib.sha256(chainset.draws.tobytes()).hexdigest())
+    print(repr(chainset.acceptance))
+"""
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_run_all_pool_matches_serial_under_every_start_method(method):
+    # 3 chains on 2 workers, so each chain is handed between workers; a fresh
+    # interpreter per method, since a process sets its start method once
+    settings = dict(chains=3, iterations=60, burn_in=20, seed=31)
+    serial = run_all(SCHEDULE_CAMPAIGN, SCHEDULE_MODEL, SamplerConfig(**settings))
+    script = POOLED_RUN.format(test_cases=SCHEDULE_CAMPAIGN.test_cases.tolist(),
+                               bugs_detected=SCHEDULE_CAMPAIGN.bugs_detected.tolist(),
+                               model=asdict(SCHEDULE_MODEL), settings=settings)
+    src = str(Path(sampler.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script, method], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [hashlib.sha256(serial.draws.tobytes()).hexdigest(),
+                                       repr(serial.acceptance)]
 
 
 # a forked pool's workers inherit the flat kernel
